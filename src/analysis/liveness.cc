@@ -1,5 +1,7 @@
 #include "analysis/liveness.h"
 
+#include <utility>
+
 #include "support/logging.h"
 
 namespace treegion::analysis {
@@ -10,33 +12,37 @@ using support::BitVector;
 Liveness::Liveness(ir::Function &fn)
     : num_gprs_(fn.numGprs()),
       num_preds_(fn.numPreds()),
-      num_regs_(static_cast<size_t>(num_gprs_) + num_preds_)
+      num_regs_(static_cast<size_t>(num_gprs_) + num_preds_),
+      live_in_(fn.numBlockIds()),
+      live_out_(fn.numBlockIds())
 {
     // use[b]: read before any write in b; def[b]: written in b.
-    std::unordered_map<BlockId, BitVector> use, def;
+    std::vector<BitVector> use(fn.numBlockIds()), def(fn.numBlockIds());
     const auto ids = fn.blockIds();
     for (const BlockId id : ids) {
-        BitVector u(num_regs_), d(num_regs_);
+        BitVector &u = use[id];
+        BitVector &d = def[id];
+        u.resize(num_regs_);
+        d.resize(num_regs_);
+        live_in_[id].resize(num_regs_);
+        live_out_[id].resize(num_regs_);
         for (const ir::Op &op : fn.block(id).ops()) {
-            for (const ir::Reg r : op.usedRegs()) {
+            op.forEachUsedReg([&](const ir::Reg &r) {
                 if (r.cls == ir::RegClass::Btr)
-                    continue;
+                    return;
                 const size_t idx = regIndex(r);
                 if (!d.test(idx))
                     u.set(idx);
-            }
+            });
             for (const ir::Reg r : op.dsts) {
                 if (r.cls == ir::RegClass::Btr)
                     continue;
                 d.set(regIndex(r));
             }
         }
-        use.emplace(id, std::move(u));
-        def.emplace(id, std::move(d));
-        live_in_.emplace(id, BitVector(num_regs_));
-        live_out_.emplace(id, BitVector(num_regs_));
     }
 
+    BitVector in(num_regs_);  // scratch, reused by every step
     bool changed = true;
     while (changed) {
         changed = false;
@@ -44,16 +50,19 @@ Liveness::Liveness(ir::Function &fn)
         // reverse program order; the fixpoint is order-insensitive.
         for (auto it = ids.rbegin(); it != ids.rend(); ++it) {
             const BlockId id = *it;
-            BitVector &out = live_out_.at(id);
-            for (const BlockId succ : fn.block(id).successors()) {
-                if (succ != ir::kNoBlock)
-                    changed |= out.unionWith(live_in_.at(succ));
+            const ir::BasicBlock &b = fn.block(id);
+            BitVector &out = live_out_[id];
+            if (b.hasTerminator()) {
+                for (const BlockId succ : b.terminator().targets) {
+                    if (succ != ir::kNoBlock)
+                        changed |= out.unionWith(live_in_[succ]);
+                }
             }
-            BitVector in = out;
-            in.subtract(def.at(id));
-            in.unionWith(use.at(id));
-            if (!(in == live_in_.at(id))) {
-                live_in_.at(id) = std::move(in);
+            in = out;
+            in.subtract(def[id]);
+            in.unionWith(use[id]);
+            if (!(in == live_in_[id])) {
+                std::swap(in, live_in_[id]);
                 changed = true;
             }
         }
@@ -78,19 +87,21 @@ Liveness::regIndex(ir::Reg r) const
 bool
 Liveness::liveIn(BlockId id, ir::Reg r) const
 {
-    return live_in_.at(id).test(regIndex(r));
+    return liveInSet(id).test(regIndex(r));
 }
 
 bool
 Liveness::liveOut(BlockId id, ir::Reg r) const
 {
-    return live_out_.at(id).test(regIndex(r));
+    TG_ASSERT(id < live_out_.size());
+    return live_out_[id].test(regIndex(r));
 }
 
 const BitVector &
 Liveness::liveInSet(BlockId id) const
 {
-    return live_in_.at(id);
+    TG_ASSERT(id < live_in_.size());
+    return live_in_[id];
 }
 
 } // namespace treegion::analysis

@@ -10,14 +10,17 @@
 #ifndef TREEGION_ANALYSIS_LIVENESS_H
 #define TREEGION_ANALYSIS_LIVENESS_H
 
-#include <unordered_map>
+#include <vector>
 
 #include "ir/function.h"
 #include "support/bitvector.h"
 
 namespace treegion::analysis {
 
-/** Live-in / live-out register sets per basic block. */
+/**
+ * Live-in / live-out register sets per basic block, stored densely by
+ * BlockId (removed blocks keep an empty slot).
+ */
 class Liveness
 {
   public:
@@ -43,8 +46,8 @@ class Liveness
     uint32_t num_gprs_;
     uint32_t num_preds_;
     size_t num_regs_;
-    std::unordered_map<ir::BlockId, support::BitVector> live_in_;
-    std::unordered_map<ir::BlockId, support::BitVector> live_out_;
+    std::vector<support::BitVector> live_in_;
+    std::vector<support::BitVector> live_out_;
 };
 
 } // namespace treegion::analysis

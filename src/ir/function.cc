@@ -17,7 +17,6 @@ Function::createBlock()
     const BlockId id = static_cast<BlockId>(blocks_.size());
     blocks_.push_back(std::make_unique<BasicBlock>(id));
     blocks_.back()->original_id_ = id;
-    preds_valid_ = false;
     return id;
 }
 
@@ -26,30 +25,31 @@ Function::cloneBlock(BlockId src)
 {
     const BlockId id = createBlock();
     BasicBlock &dst_block = *blocks_[id];
-    const BasicBlock &src_block = block(src);
+    BasicBlock &src_block = block(src);
     dst_block.weight_ = 0.0;
-    for (const Op &op : src_block.ops()) {
-        Op clone = op;
+    dst_block.ops_.reserve(src_block.ops_.size());
+    for (Op &orig : src_block.ops_) {
+        Op clone = orig;
         clone.id = freshOpId();
         clone.home = id;
         // Link clone and original through a shared duplication group
         // so the scheduler can detect dominator parallelism.
-        if (op.dupGroup == 0) {
-            const uint32_t group = freshDupGroup();
-            // Patch the original op as well.
-            for (Op &orig : blocks_[src]->ops()) {
-                if (orig.id == op.id) {
-                    orig.dupGroup = group;
-                    break;
-                }
-            }
-            clone.dupGroup = group;
+        if (orig.dupGroup == 0) {
+            orig.dupGroup = freshDupGroup();
+            clone.dupGroup = orig.dupGroup;
         }
         dst_block.ops_.push_back(std::move(clone));
     }
     dst_block.edge_weights_ = src_block.edge_weights_;
     dst_block.original_id_ = src_block.original_id_;
-    preds_valid_ = false;
+    // The clone has the highest id, so appending keeps every list
+    // ascending.
+    if (preds_valid_ && dst_block.hasTerminator()) {
+        for (const BlockId succ : dst_block.terminator().targets) {
+            if (succ != kNoBlock)
+                block(succ).preds_.push_back(id);
+        }
+    }
     return id;
 }
 
@@ -133,12 +133,25 @@ Function::replaceTerminator(BlockId id, Op op)
 void
 Function::retargetEdge(BlockId from, BlockId old_to, BlockId new_to)
 {
-    BasicBlock &b = block(from);
-    Op &term = b.terminator();
-    auto it = std::find(term.targets.begin(), term.targets.end(), old_to);
-    TG_ASSERT(it != term.targets.end());
-    *it = new_to;
-    preds_valid_ = false;
+    const auto &targets = block(from).terminator().targets;
+    auto it = std::find(targets.begin(), targets.end(), old_to);
+    TG_ASSERT(it != targets.end());
+    retargetSlot(from, static_cast<size_t>(it - targets.begin()), new_to);
+}
+
+void
+Function::retargetSlot(BlockId from, size_t slot, BlockId new_to)
+{
+    auto &targets = block(from).terminator().targets;
+    TG_ASSERT(slot < targets.size());
+    const BlockId old_to = targets[slot];
+    targets[slot] = new_to;
+    if (!preds_valid_)
+        return;
+    if (old_to != kNoBlock)
+        unlinkPred(old_to, from);
+    if (new_to != kNoBlock)
+        linkPred(new_to, from);
 }
 
 void
@@ -147,8 +160,14 @@ Function::removeBlock(BlockId id)
     TG_ASSERT(hasBlock(id));
     TG_ASSERT(predsOf(id).empty());
     TG_ASSERT(id != entry_);
+    const BasicBlock &b = *blocks_[id];
+    if (b.hasTerminator()) {
+        for (const BlockId succ : b.terminator().targets) {
+            if (succ != kNoBlock)
+                unlinkPred(succ, id);
+        }
+    }
     blocks_[id].reset();
-    preds_valid_ = false;
 }
 
 std::vector<BlockId>
@@ -231,6 +250,23 @@ Function::totalOps() const
     size_t n = 0;
     forEachBlock([&](const BasicBlock &b) { n += b.ops().size(); });
     return n;
+}
+
+void
+Function::linkPred(BlockId id, BlockId pred)
+{
+    auto &preds = block(id).preds_;
+    preds.insert(std::upper_bound(preds.begin(), preds.end(), pred),
+                 pred);
+}
+
+void
+Function::unlinkPred(BlockId id, BlockId pred)
+{
+    auto &preds = block(id).preds_;
+    auto it = std::lower_bound(preds.begin(), preds.end(), pred);
+    TG_ASSERT(it != preds.end() && *it == pred);
+    preds.erase(it);
 }
 
 void

@@ -17,11 +17,14 @@ namespace treegion::ir {
 /**
  * A single-entry control flow graph of basic blocks.
  *
- * Block ids are stable and never reused. Predecessor lists are
- * maintained lazily: any terminator mutation must go through
- * Function (appendTerminator, retargetEdge, replaceTerminator) or be
- * followed by invalidatePreds(); predecessor queries rebuild on
- * demand.
+ * Block ids are stable and never reused. Predecessor lists hold one
+ * entry per terminator target slot, in ascending predecessor id.
+ * Once built they are kept valid incrementally through the edits tail
+ * duplication makes (createBlock, cloneBlock, retargetSlot,
+ * retargetEdge, removeBlock); the bulk edits (appendTerminator,
+ * replaceTerminator, removeUnreachableBlocks) and any manual
+ * terminator edit followed by invalidatePreds() mark them stale, and
+ * the next predecessor query rebuilds them.
  */
 class Function
 {
@@ -105,12 +108,15 @@ class Function
      */
     void retargetEdge(BlockId from, BlockId old_to, BlockId new_to);
 
+    /** Point target slot @p slot of @p from's terminator at @p new_to. */
+    void retargetSlot(BlockId from, size_t slot, BlockId new_to);
+
     /** Remove an unreachable block (asserts it has no preds). */
     void removeBlock(BlockId id);
 
     /**
-     * Remove every block not reachable from the entry (e.g. originals
-     * orphaned by tail duplication). @return ids removed.
+     * Remove every block not reachable from the entry (e.g. code a
+     * reduced test case cut off). @return ids removed.
      */
     std::vector<BlockId> removeUnreachableBlocks();
 
@@ -158,6 +164,12 @@ class Function
 
   private:
     void rebuildPreds();
+
+    /** Add one @p pred entry to @p id's valid predecessor list. */
+    void linkPred(BlockId id, BlockId pred);
+
+    /** Drop one @p pred entry from @p id's valid predecessor list. */
+    void unlinkPred(BlockId id, BlockId pred);
 
     std::string name_;
     std::vector<std::unique_ptr<BasicBlock>> blocks_;

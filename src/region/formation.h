@@ -34,7 +34,7 @@ RegionSet formTreegions(ir::Function &fn);
 
 /**
  * Treegions with tail duplication (Fig. 11). Mutates @p fn: clones
- * blocks, splits profile flow and removes orphaned originals.
+ * blocks and splits profile flow.
  */
 RegionSet formTreegionsTailDup(ir::Function &fn,
                                const TailDupLimits &limits);

@@ -121,8 +121,6 @@ formSuperblocks(ir::Function &fn, const SuperblockOptions &options)
                 }
                 const BlockId clone = tailDuplicateEdge(fn, cur, slot);
                 sb.addBlock(clone, cur);
-                if (fn.predsOf(next).empty())
-                    orphanSweep(fn, set, next);
                 cur = clone;
             } else {
                 sb.addBlock(next, cur);

@@ -1,9 +1,7 @@
 #include "region/tail_duplication.h"
 
 #include <algorithm>
-#include <deque>
 
-#include "region/region.h"
 #include "support/logging.h"
 
 namespace treegion::region {
@@ -58,29 +56,8 @@ tailDuplicateEdge(ir::Function &fn, BlockId pred, size_t slot)
     transferProfileFlow(fn, sapling, clone, edge_weight);
 
     // Redirect exactly this target slot.
-    fn.block(pred).terminator().targets[slot] = clone;
-    fn.invalidatePreds();
+    fn.retargetSlot(pred, slot, clone);
     return clone;
-}
-
-void
-orphanSweep(ir::Function &fn, const RegionSet &set, BlockId start)
-{
-    std::deque<BlockId> work = {start};
-    while (!work.empty()) {
-        const BlockId id = work.front();
-        work.pop_front();
-        if (!fn.hasBlock(id) || set.covered(id) || id == fn.entry())
-            continue;
-        if (!fn.predsOf(id).empty())
-            continue;
-        const auto succs = fn.block(id).successors();
-        fn.removeBlock(id);
-        for (const BlockId succ : succs) {
-            if (succ != ir::kNoBlock)
-                work.push_back(succ);
-        }
-    }
 }
 
 } // namespace treegion::region

@@ -20,8 +20,6 @@
 
 namespace treegion::region {
 
-class RegionSet;
-
 /** Limits governing Fig. 11 treegion formation with tail duplication. */
 struct TailDupLimits
 {
@@ -49,6 +47,8 @@ struct TailDupLimits
 /**
  * Clone @p sapling for the edge at @p slot of @p pred's terminator,
  * retarget that edge to the clone, and split profile weights.
+ * Callers duplicate only merge points, so the original keeps at least
+ * one predecessor and is never orphaned.
  *
  * @param fn the function (mutated)
  * @param pred source block of the edge being redirected
@@ -66,16 +66,6 @@ ir::BlockId tailDuplicateEdge(ir::Function &fn, ir::BlockId pred,
  */
 void transferProfileFlow(ir::Function &fn, ir::BlockId from,
                          ir::BlockId to, double flow);
-
-/**
- * Remove @p start if tail duplication orphaned it (no predecessors
- * left), along with any uncovered blocks transitively orphaned by the
- * removal. Blocks inside a region are never removed: a region
- * member's sole predecessor is its tree parent, which tail
- * duplication never retargets.
- */
-void orphanSweep(ir::Function &fn, const RegionSet &set,
-                 ir::BlockId start);
 
 } // namespace treegion::region
 

@@ -4,8 +4,6 @@
 #include <deque>
 #include <set>
 #include <tuple>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "support/logging.h"
 #include "support/remarks.h"
@@ -148,6 +146,10 @@ expandWithTailDuplication(ir::Function &fn, const RegionSet &set,
         BlockId selected = kNoBlock;
         BlockId from = kNoBlock;
         size_t slot = 0;
+        // Neither the tree nor the CFG changes until an edge is
+        // selected, so the expansion base is fixed for this round.
+        const size_t tree_ops = tree.totalOps(fn);
+        const size_t base_ops = originalMemberOps(fn, tree);
         for (const RegionExit &exit : exits) {
             if (exit.is_ret || exit.target == kNoBlock)
                 continue;
@@ -196,9 +198,9 @@ expandWithTailDuplication(ir::Function &fn, const RegionSet &set,
                     ? sapling_ops
                     : 0;
             const double cur_ops =
-                static_cast<double>(tree.totalOps(fn) + sapling_ops);
-            const double orig_ops = static_cast<double>(
-                originalMemberOps(fn, tree) + base_gain);
+                static_cast<double>(tree_ops + sapling_ops);
+            const double orig_ops =
+                static_cast<double>(base_ops + base_gain);
             if (orig_ops <= 0.0 ||
                 cur_ops > limits.expansion_limit * orig_ops) {
                 if (freshRefusal(exit.from, sapling,
@@ -235,9 +237,6 @@ expandWithTailDuplication(ir::Function &fn, const RegionSet &set,
                 .arg("from", from)
                 .arg("clone", clone);
             absorbIntoTree(fn, set, tree, clone, from);
-            // The original may have lost its last predecessor.
-            if (fn.predsOf(selected).empty())
-                orphanSweep(fn, set, selected);
         } else {
             absorbIntoTree(fn, set, tree, selected, from);
         }

@@ -71,7 +71,6 @@ Ddg::build(const LoweredRegion &lowered, const RegionIndex &index,
     n_ = n;
     succs_ = arena.allocZeroed<EdgeList>(n);
     preds_ = arena.allocZeroed<EdgeList>(n);
-    heights_ = arena.allocZeroed<int32_t>(n);
 
     // Per-op latency cache (repeated opcodeInfo lookups add up).
     int32_t *lat = arena.allocArray<int32_t>(n);
@@ -292,48 +291,51 @@ Ddg::build(const LoweredRegion &lowered, const RegionIndex &index,
         dedupe(preds_[i]);
     }
 
-    // Virtual control edges for dependence heights: each exit branch
-    // "controls" everything homed strictly below its block.
-    {
-        ArenaVector<uint32_t> reach(arena);
-        for (size_t i = 0; i < n; ++i) {
-            if (lowered.ops[i].kind != LoweredKind::ExitBranch)
-                continue;
-            const uint32_t home_bi =
-                index.indexOf(lowered.ops[i].home);
-            reach.clear();
-            index.reachableFrom(home_bi, reach);
-            for (const uint32_t below : reach) {
-                if (below == home_bi)
-                    continue;
-                for (const uint32_t target : index.opsIn(below))
-                    addEdge(arena, i, target, 1, false, true);
-            }
-        }
-    }
-
-    // Heights over the full (data + virtual control) DAG. Virtual
-    // edges can point backwards in emission order, so use memoized
-    // DFS rather than a reverse sweep. Height floors let a second
-    // pass raise specific nodes without introducing cycles.
+    // Heights over the data DAG plus implicit control edges. An exit
+    // branch controls every op homed strictly below its block (the
+    // classic control+data DAG, in which a branch's height covers the
+    // code it controls), so its height is at least one more than the
+    // tallest such op. Node n + b of the DFS memoises "tallest op
+    // strictly below block b" (-1: none), so those edges are never
+    // stored. Height floors let a second pass raise specific nodes
+    // without introducing cycles.
+    const size_t nodes = n + index.numBlocks();
+    int32_t *value = arena.allocArray<int32_t>(nodes);
+    heights_ = value;
     int32_t *floors = arena.allocZeroed<int32_t>(n);
-    int8_t *mark = arena.allocArray<int8_t>(n);
+    int8_t *mark = arena.allocArray<int8_t>(nodes);
     auto compute_heights = [&]() {
-        std::memset(mark, 0, n);  // 0 new, 1 open, 2 done
-        auto height_of = [&](auto &&self, size_t i) -> int {
-            if (mark[i] == 2)
-                return heights_[i];
-            TG_ASSERT(mark[i] != 1 && "cycle in DDG");
-            mark[i] = 1;
-            int h = std::max(lat[i], floors[i]);
-            for (const DdgEdge &e : succs(i))
-                h = std::max(h, e.latency + self(self, e.other));
-            mark[i] = 2;
-            heights_[i] = h;
+        std::memset(mark, 0, nodes);  // 0 new, 1 open, 2 done
+        auto visit = [&](auto &&self, size_t v) -> int {
+            if (mark[v] == 2)
+                return value[v];
+            TG_ASSERT(mark[v] != 1 && "cycle in DDG");
+            mark[v] = 1;
+            int h = -1;
+            if (v < n) {
+                h = std::max(lat[v], floors[v]);
+                for (const DdgEdge &e : succs(v))
+                    h = std::max(h, e.latency + self(self, e.other));
+                if (lowered.ops[v].kind == LoweredKind::ExitBranch) {
+                    const int below = self(
+                        self, n + index.indexOf(lowered.ops[v].home));
+                    if (below >= 0)
+                        h = std::max(h, below + 1);
+                }
+            } else {
+                for (const uint32_t child : index.succs(
+                         static_cast<uint32_t>(v - n))) {
+                    for (const uint32_t op : index.opsIn(child))
+                        h = std::max(h, self(self, op));
+                    h = std::max(h, self(self, n + child));
+                }
+            }
+            mark[v] = 2;
+            value[v] = h;
             return h;
         };
         for (size_t i = 0; i < n; ++i)
-            height_of(height_of, i);
+            visit(visit, i);
     };
     compute_heights();
 

@@ -17,12 +17,14 @@
  *    copy's source to the exit branch: latency = producer latency - 1
  *    (the value must be architecturally visible when the next region
  *    starts one cycle after the exit).
- *  - Virtual control edges from each exit branch to every op homed
- *    strictly below the branch's block. These never constrain the
- *    scheduler (speculation breaks control dependences); they exist
- *    so dependence heights match the classic control+data DAG, in
- *    which a branch's height covers the code it controls and exits
- *    near the root rank high under the dependence-height heuristic.
+ *  - Control dependences are not stored. Speculation breaks them, so
+ *    they never constrain the scheduler; they matter only for
+ *    dependence heights, which must match the classic control+data
+ *    DAG: an exit branch's height covers every op homed strictly
+ *    below its block (one cycle more than the tallest of them), so
+ *    exits near the root rank high under the dependence-height
+ *    heuristic. The height DFS memoises that per-block maximum
+ *    instead of materialising one edge per (branch, op) pair.
  *
  * The region's internal control structure comes from
  * LoweredRegion::succs_in_region — a tree for treegions and linear
@@ -54,10 +56,6 @@ struct DdgEdge
     int32_t latency;     ///< minimum cycle distance (0 = same cycle ok)
     bool slot_ordered;   ///< 0-latency edges that additionally require
                          ///< earlier-slot placement when sharing a cycle
-    bool virtual_ctrl;   ///< control edge kept only for dependence
-                         ///< heights; speculation is allowed to break
-                         ///< it, so the scheduler ignores it for
-                         ///< legality
 };
 
 /** Dependence graph for one lowered region. */
@@ -123,13 +121,13 @@ class Ddg
 
     void
     addEdge(support::Arena &arena, size_t from, size_t to, int latency,
-            bool slot_ordered, bool virtual_ctrl = false)
+            bool slot_ordered)
     {
         TG_ASSERT(from != to);
         succs_[from].push(arena, {static_cast<uint32_t>(to), latency,
-                                  slot_ordered, virtual_ctrl});
+                                  slot_ordered});
         preds_[to].push(arena, {static_cast<uint32_t>(from), latency,
-                                slot_ordered, virtual_ctrl});
+                                slot_ordered});
     }
 
     size_t n_ = 0;

@@ -117,8 +117,6 @@ class Scheduler
         if (!has_slot_pred_[i])
             return true;
         for (const DdgEdge &e : ddg_.preds(i)) {
-            if (e.virtual_ctrl)
-                continue;  // priority-only: speculation may break it
             const auto [pc, ps] = position(e.other);
             if (e.latency > 0) {
                 if (cycle < pc + e.latency)
@@ -220,8 +218,6 @@ class Scheduler
         int mc = 0;
         bool has_slot = false;
         for (const DdgEdge &e : ddg_.preds(i)) {
-            if (e.virtual_ctrl)
-                continue;
             const auto [pc, ps] = position(e.other);
             (void)ps;
             mc = std::max(mc, e.latency > 0 ? pc + e.latency : pc);
@@ -240,8 +236,6 @@ class Scheduler
         const uint32_t r = rank_of_[i];
         cand_[r >> 6] &= ~(1ull << (r & 63));
         for (const DdgEdge &e : ddg_.succs(i)) {
-            if (e.virtual_ctrl)
-                continue;
             if (--pending_[e.other] == 0)
                 onPredComplete(e.other);
         }
@@ -305,7 +299,7 @@ class Scheduler
     int32_t *cycle_ = nullptr;
     int32_t *slot_ = nullptr;
     uint32_t *rep_ = nullptr;
-    int32_t *pending_ = nullptr;     ///< unscheduled real preds
+    int32_t *pending_ = nullptr;     ///< unscheduled preds
     int32_t *min_cycle_ = nullptr;   ///< earliest cycle once complete
     uint8_t *has_slot_pred_ = nullptr;
     uint8_t *twin_ok_ = nullptr;     ///< may serve as an elision twin
@@ -414,16 +408,10 @@ Scheduler::place()
         }
     }
 
-    // Pending-predecessor counts over real (non-virtual) edges; the
-    // pred/succ lists are symmetrically deduped, so decrements match.
-    for (size_t i = 0; i < n; ++i) {
-        int32_t count = 0;
-        for (const DdgEdge &e : ddg_.preds(i)) {
-            if (!e.virtual_ctrl)
-                ++count;
-        }
-        pending_[i] = count;
-    }
+    // Pending-predecessor counts; the pred/succ lists are
+    // symmetrically deduped, so decrements match.
+    for (size_t i = 0; i < n; ++i)
+        pending_[i] = static_cast<int32_t>(ddg_.preds(i).size());
     for (size_t i = 0; i < n; ++i) {
         if (pending_[i] == 0)
             onPredComplete(static_cast<uint32_t>(i));

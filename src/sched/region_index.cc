@@ -112,9 +112,8 @@ RegionIndex::reachableFrom(uint32_t bi,
                            support::ArenaVector<uint32_t> &out) const
 {
     // Mirrors LoweredRegion::reachableFrom exactly: explicit stack,
-    // successors pushed in list order, visited check at pop. Output
-    // order must match byte for byte (DDG virtual-edge emission and
-    // exit counting both derive from it).
+    // successors pushed in list order, visited check at pop, so both
+    // report the same blocks in the same order.
     uint8_t *seen = arena_->allocZeroed<uint8_t>(num_blocks_);
     support::ArenaVector<uint32_t> stack(*arena_);
     stack.push_back(bi);

@@ -6,12 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <set>
 
 #include "analysis/dominators.h"
 #include "analysis/liveness.h"
 #include "analysis/loops.h"
 #include "analysis/profile.h"
 #include "ir/builder.h"
+#include "region/formation.h"
 #include "workloads/profiler.h"
 #include "workloads/synthetic.h"
 
@@ -162,6 +165,103 @@ TEST(Liveness, DeadAfterLastUse)
     Liveness live(fn);
     EXPECT_TRUE(live.liveIn(b, u));
     EXPECT_FALSE(live.liveIn(b, t));
+}
+
+/**
+ * Naive reference liveness: std::set register sets per block id,
+ * iterated to the (unique) fixpoint in ascending id order.
+ */
+struct NaiveLiveness
+{
+    std::map<BlockId, std::set<Reg>> in, out;
+
+    explicit NaiveLiveness(const Function &fn)
+    {
+        std::map<BlockId, std::set<Reg>> use, def;
+        fn.forEachBlock([&](const ir::BasicBlock &b) {
+            for (const ir::Op &op : b.ops()) {
+                for (const Reg r : op.usedRegs()) {
+                    if (r.cls != ir::RegClass::Btr && !def[b.id()].count(r))
+                        use[b.id()].insert(r);
+                }
+                for (const Reg r : op.dsts) {
+                    if (r.cls != ir::RegClass::Btr)
+                        def[b.id()].insert(r);
+                }
+            }
+            in[b.id()];
+            out[b.id()];
+        });
+        for (bool changed = true; changed;) {
+            changed = false;
+            fn.forEachBlock([&](const ir::BasicBlock &b) {
+                std::set<Reg> o;
+                for (const BlockId succ : b.successors())
+                    o.insert(in[succ].begin(), in[succ].end());
+                std::set<Reg> i = use[b.id()];
+                for (const Reg r : o) {
+                    if (!def[b.id()].count(r))
+                        i.insert(r);
+                }
+                if (o != out[b.id()] || i != in[b.id()]) {
+                    out[b.id()] = std::move(o);
+                    in[b.id()] = std::move(i);
+                    changed = true;
+                }
+            });
+        }
+    }
+};
+
+TEST(Liveness, MatchesNaiveFixpointOnTailDuplicatedCfgs)
+{
+    size_t holes = 0;
+    for (const uint64_t seed : {4u, 9u, 31u, 77u}) {
+        workloads::GenParams p;
+        p.seed = seed;
+        p.top_units = 7;
+        p.mem_words = 1024;
+        auto mod = workloads::generateProgram("x", p);
+        Function &fn = mod->function("main");
+        workloads::profileFunction(fn, 1024);
+
+        // Unreachable blocks created before formation and removed
+        // after it leave id holes between the originals and the
+        // tail-duplicated clones.
+        Function f = fn.clone();
+        std::vector<BlockId> dead;
+        for (int k = 0; k < 3; ++k) {
+            dead.push_back(f.createBlock());
+            f.appendTerminator(dead.back(),
+                               ir::makeRet(ir::Operand::makeImm(k)));
+        }
+        const size_t before = f.numBlockIds();
+        region::formTreegionsTailDup(f, {});
+        ASSERT_GT(f.numBlockIds(), before) << "seed " << seed;
+        for (const BlockId id : dead)
+            f.removeBlock(id);
+        holes += dead.size();
+
+        const Liveness live(f);
+        const NaiveLiveness naive(f);
+        f.forEachBlock([&](const ir::BasicBlock &b) {
+            const auto &want_in = naive.in.at(b.id());
+            const auto &want_out = naive.out.at(b.id());
+            for (uint32_t r = 0; r < f.numGprs() + f.numPreds(); ++r) {
+                const Reg reg = r < f.numGprs()
+                                    ? ir::gpr(r)
+                                    : ir::pred(r - f.numGprs());
+                EXPECT_EQ(live.liveIn(b.id(), reg), want_in.count(reg) != 0)
+                    << "seed " << seed << " bb" << b.id() << " "
+                    << reg.str();
+                EXPECT_EQ(live.liveOut(b.id(), reg),
+                          want_out.count(reg) != 0)
+                    << "seed " << seed << " bb" << b.id() << " "
+                    << reg.str();
+            }
+        });
+    }
+    EXPECT_GT(holes, 0u);
 }
 
 TEST(Profile, UniformProfileIsConsistent)

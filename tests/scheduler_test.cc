@@ -7,12 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <unordered_map>
 
 #include "analysis/liveness.h"
 #include "ir/builder.h"
 #include "region/formation.h"
 #include "sched/ddg.h"
+#include "sched/hyperblock_lowering.h"
 #include "sched/perf_model.h"
 #include "sched/pipeline.h"
 #include "sched/schedule_verifier.h"
@@ -338,6 +340,101 @@ TEST(Ddg, BackedgeExitGetsRecurrenceFloor)
     }
 }
 
+/**
+ * Reference dependence heights: the DDG's stored edges plus, stored
+ * explicitly, one latency-1 control edge from each exit branch to
+ * every op homed strictly below its block; memoized DFS, then the
+ * back-edge floor (tallest + 1) and a second pass.
+ */
+std::vector<int>
+referenceHeights(const LoweredRegion &lowered, const Ddg &ddg)
+{
+    const size_t n = lowered.ops.size();
+    std::vector<std::vector<std::pair<size_t, int>>> succs(n);
+    for (size_t i = 0; i < n; ++i) {
+        for (const DdgEdge &e : ddg.succs(i))
+            succs[i].emplace_back(e.other, e.latency);
+        if (lowered.ops[i].kind != LoweredKind::ExitBranch)
+            continue;
+        const BlockId home = lowered.ops[i].home;
+        for (const BlockId below : lowered.reachableFrom(home)) {
+            for (size_t k = 0; below != home && k < n; ++k) {
+                if (lowered.ops[k].home == below)
+                    succs[i].emplace_back(k, 1);
+            }
+        }
+    }
+    std::vector<int> floors(n, 0);
+    auto heights = [&]() {
+        std::vector<int> h(n, -1);
+        auto visit = [&](auto &&self, size_t i) -> int {
+            if (h[i] >= 0)
+                return h[i];
+            int best = std::max(lowered.ops[i].op.latency(), floors[i]);
+            for (const auto &[to, latency] : succs[i])
+                best = std::max(best, latency + self(self, to));
+            return h[i] = best;
+        };
+        for (size_t i = 0; i < n; ++i)
+            visit(visit, i);
+        return h;
+    };
+    std::vector<int> h = heights();
+    const int tallest = n ? *std::max_element(h.begin(), h.end()) : 0;
+    bool any_backedge = false;
+    for (const LoweredExit &exit : lowered.exits) {
+        if (!exit.is_ret && exit.target == lowered.root) {
+            floors[exit.op_index] = tallest + 1;
+            any_backedge = true;
+        }
+    }
+    return any_backedge ? heights() : h;
+}
+
+TEST(Ddg, HeightsMatchExplicitControlDag)
+{
+    size_t regions = 0, backedges = 0, below_exits = 0;
+    for (const uint64_t seed : {5u, 11u, 23u}) {
+        workloads::GenParams p;
+        p.seed = seed;
+        p.top_units = 6;
+        p.mem_words = 1024;
+        auto mod = workloads::generateProgram("x", p);
+        ir::Function &fn = mod->function("main");
+        workloads::profileFunction(fn, 1024);
+        for (int scheme = 0; scheme < 3; ++scheme) {
+            Function f = fn.clone();
+            const region::RegionSet set =
+                scheme == 0   ? region::formTreegions(f)
+                : scheme == 1 ? region::formTreegionsTailDup(f, {})
+                              : region::formHyperblocks(f, {});
+            const analysis::Liveness live(f);
+            for (const region::Region &r : set.regions()) {
+                const LoweredRegion lowered =
+                    scheme == 2 ? lowerHyperblock(f, r, live)
+                                : lowerRegion(f, r, live);
+                const Ddg ddg(lowered);
+                const std::vector<int> want =
+                    referenceHeights(lowered, ddg);
+                for (size_t i = 0; i < lowered.ops.size(); ++i) {
+                    ASSERT_EQ(ddg.height(i), want[i])
+                        << "seed " << seed << " scheme " << scheme
+                        << " region bb" << r.root() << " op " << i;
+                }
+                ++regions;
+                for (const LoweredExit &exit : lowered.exits) {
+                    backedges += !exit.is_ret && exit.target == r.root();
+                    below_exits += exit.from != r.root();
+                }
+            }
+        }
+    }
+    // The corpus did exercise the floor and exits below the root.
+    EXPECT_GT(regions, 0u);
+    EXPECT_GT(backedges, 0u);
+    EXPECT_GT(below_exits, 0u);
+}
+
 TEST(Scheduler, PaperHeuristicNamesAreStable)
 {
     EXPECT_EQ(heuristicName(Heuristic::DependenceHeight), "dep-height");
@@ -438,6 +535,157 @@ TEST(ScheduleVerifier, RejectsUndefinedGuardPredicate)
                              ir::Operand::makeImm(5)),
                5, 0, 0));
     EXPECT_TRUE(verifySchedule(fixed, 4).empty());
+}
+
+/**
+ * Expect @p sched to fail verification with exactly one problem, and
+ * that problem to contain @p needle.
+ */
+void
+expectSoleProblem(const RegionSchedule &sched, const std::string &needle)
+{
+    const auto problems = verifySchedule(sched, 4);
+    ASSERT_EQ(problems.size(), 1u)
+        << (problems.empty() ? std::string("no problem") : problems[0]);
+    EXPECT_NE(problems[0].find(needle), std::string::npos) << problems[0];
+}
+
+/** r1 = ADD r0, 1 at (cycle, slot): reads only a live-in. */
+ScheduledOp
+liveInAdd(ir::OpId id, int cycle, int slot)
+{
+    return placed(ir::makeBinary(Opcode::ADD, ir::gpr(1),
+                                 ir::Operand::makeReg(ir::gpr(0)),
+                                 ir::Operand::makeImm(1)),
+                  id, cycle, slot);
+}
+
+TEST(ScheduleVerifier, RejectsCycleOutsideLength)
+{
+    RegionSchedule sched;
+    sched.length = 2;
+    sched.ops.push_back(liveInAdd(1, 2, 0));
+    expectSoleProblem(sched, "at cycle 2 outside schedule length 2");
+    sched.ops[0].cycle = -1;
+    expectSoleProblem(sched, "at cycle -1 outside schedule length 2");
+}
+
+TEST(ScheduleVerifier, RejectsSlotOutsideWidth)
+{
+    RegionSchedule sched;
+    sched.length = 1;
+    sched.ops.push_back(liveInAdd(1, 0, 4));
+    expectSoleProblem(sched, "in slot 4 on a 4-wide machine");
+}
+
+TEST(ScheduleVerifier, RejectsSharedSlot)
+{
+    RegionSchedule sched;
+    sched.length = 2;
+    sched.ops.push_back(liveInAdd(1, 1, 3));
+    ScheduledOp other = liveInAdd(2, 1, 3);
+    other.op.dsts[0] = ir::gpr(2);
+    sched.ops.push_back(other);
+    expectSoleProblem(sched, "two ops share cycle 1 slot 3");
+
+    // Out-of-range placements are compared too (and reported as out
+    // of range as well).
+    sched.ops[0].slot = sched.ops[1].slot = 9;
+    EXPECT_EQ(verifySchedule(sched, 4).size(), 3u);
+}
+
+TEST(ScheduleVerifier, RejectsReadBeforeProducerLatency)
+{
+    RegionSchedule sched;
+    sched.length = 3;
+    // r2 = LD [r0+4] (latency 2) at cycle 0; r3 = ADD r2, 1 at cycle 1.
+    sched.ops.push_back(
+        placed(ir::makeLoad(ir::gpr(2), ir::gpr(0), 4), 1, 0, 0));
+    sched.ops.push_back(
+        placed(ir::makeBinary(Opcode::ADD, ir::gpr(3),
+                              ir::Operand::makeReg(ir::gpr(2)),
+                              ir::Operand::makeImm(1)),
+               2, 1, 0));
+    ASSERT_EQ(sched.ops[0].op.latency(), 2);
+    expectSoleProblem(sched, "(cycle 1) reads r2 before");
+    expectSoleProblem(sched, "(cycle 0, latency 2) completes");
+    sched.ops[1].cycle = 2;
+    EXPECT_TRUE(verifySchedule(sched, 4).empty());
+}
+
+TEST(ScheduleVerifier, RejectsUndefinedPredicateSource)
+{
+    RegionSchedule sched;
+    sched.length = 1;
+    sched.ops.push_back(placed(ir::makeBrct(ir::pred(0), 3, 4), 1, 0, 0));
+    expectSoleProblem(sched,
+                      "reads predicate p0 which no scheduled op defines");
+}
+
+// Memory order holds along a whole path, not just between a block and
+// its direct successor: root 0 -> 1 -> 2 -> 3, store homed in 1, load
+// homed in 3, load issued first.
+TEST(ScheduleVerifier, RejectsMemoryOrderAcrossMultiLevelChain)
+{
+    RegionSchedule sched;
+    sched.root = 0;
+    sched.length = 2;
+    sched.succs_in_region[0] = {1};
+    sched.succs_in_region[1] = {2};
+    sched.succs_in_region[2] = {3};
+    ScheduledOp st = placed(
+        ir::makeStore(ir::gpr(0), 4, ir::Operand::makeReg(ir::gpr(1))),
+        10, 1, 0);
+    st.home = 1;
+    ScheduledOp ld =
+        placed(ir::makeLoad(ir::gpr(2), ir::gpr(0), 4), 20, 0, 0);
+    ld.home = 3;
+    sched.ops.push_back(ld);
+    sched.ops.push_back(st);
+    expectSoleProblem(sched, "memory order violated on a path");
+    expectSoleProblem(sched, "(cycle 1 slot 0) must issue before");
+
+    // Cut the chain in the middle: disjoint paths are unordered.
+    sched.succs_in_region[1] = {};
+    EXPECT_TRUE(verifySchedule(sched, 4).empty());
+}
+
+TEST(ScheduleVerifier, RejectsExitIndexOutOfRange)
+{
+    RegionSchedule sched;
+    sched.length = 1;
+    sched.ops.push_back(placed(ir::makeRet(ir::Operand::makeImm(0)), 1,
+                               0, 0));
+    ScheduledExit exit;
+    exit.op_index = 1;
+    sched.exits.push_back(exit);
+    expectSoleProblem(sched, "exit op_index out of range");
+}
+
+TEST(ScheduleVerifier, RejectsExitAtNonBranch)
+{
+    RegionSchedule sched;
+    sched.length = 1;
+    sched.ops.push_back(liveInAdd(1, 0, 0));
+    ScheduledExit exit;
+    exit.op_index = 0;
+    sched.exits.push_back(exit);
+    expectSoleProblem(sched, "exit points at non-branch");
+}
+
+TEST(ScheduleVerifier, RejectsExitCycleMismatch)
+{
+    RegionSchedule sched;
+    sched.length = 2;
+    sched.ops.push_back(placed(ir::makeRet(ir::Operand::makeImm(0)), 1,
+                               1, 0));
+    ScheduledExit exit;
+    exit.op_index = 0;
+    exit.cycle = 0;
+    sched.exits.push_back(exit);
+    expectSoleProblem(sched, "exit cycle 0 != branch cycle 1");
+    sched.exits[0].cycle = 1;
+    EXPECT_TRUE(verifySchedule(sched, 4).empty());
 }
 
 // A fall-through exit has no branch op: the path stays in the region

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tail duplication tests: semantic preservation, profile flow
- * conservation, and the Fig. 12 example (duplicating a merge point
- * into a treegion).
+ * conservation, the Fig. 12 example (duplicating a merge point into a
+ * treegion), and the incrementally maintained predecessor lists.
  */
 
 #include <gtest/gtest.h>
@@ -10,8 +10,10 @@
 #include <algorithm>
 
 #include "analysis/profile.h"
+#include "fuzz/mutate.h"
 #include "ir/builder.h"
 #include "region/formation.h"
+#include "support/rng.h"
 #include "vliw/interpreter.h"
 #include "workloads/profiler.h"
 #include "workloads/synthetic.h"
@@ -66,6 +68,21 @@ struct SharedTail
         fn.block(tail).setWeight(10);
     }
 };
+
+/**
+ * Every live block's maintained predecessor list must equal what a
+ * full rebuild gives: Function::clone() leaves the copy's lists stale,
+ * so its predsOf() rebuilds them from the terminators.
+ */
+void
+expectPredsMatchRebuild(const Function &fn, const std::string &what)
+{
+    Function rebuilt = fn.clone();
+    fn.forEachBlock([&](const ir::BasicBlock &b) {
+        EXPECT_EQ(b.preds(), rebuilt.predsOf(b.id()))
+            << what << ": bb" << b.id();
+    });
+}
 
 TEST(TailDuplicateEdge, SplitsProfileFlow)
 {
@@ -253,6 +270,122 @@ TEST(TailDup, SemanticsPreservedOnGeneratedPrograms)
             }
         }
     }
+}
+
+TEST(PredLists, CloneAppendsTheCloneToEachSuccessor)
+{
+    SharedTail g;
+    EXPECT_EQ(g.fn.predsOf(g.tail), (std::vector<BlockId>{g.b, g.c}));
+    const BlockId copy = g.fn.cloneBlock(g.b);
+    EXPECT_EQ(g.fn.block(g.tail).preds(),
+              (std::vector<BlockId>{g.b, g.c, copy}));
+    EXPECT_TRUE(g.fn.block(copy).preds().empty());
+    expectPredsMatchRebuild(g.fn, "clone");
+}
+
+TEST(PredLists, RetargetSlotMovesOneEntry)
+{
+    SharedTail g;
+    g.fn.predsOf(g.a);  // build the lists
+    g.fn.retargetSlot(g.a, 0, g.c);  // a -> (c|c)
+    EXPECT_EQ(g.fn.block(g.c).preds(), (std::vector<BlockId>{g.a, g.a}));
+    EXPECT_TRUE(g.fn.block(g.b).preds().empty());
+    expectPredsMatchRebuild(g.fn, "retarget");
+
+    g.fn.retargetEdge(g.a, g.c, g.b);  // first c slot back to b
+    EXPECT_EQ(g.fn.block(g.b).preds(), (std::vector<BlockId>{g.a}));
+    EXPECT_EQ(g.fn.block(g.c).preds(), (std::vector<BlockId>{g.a}));
+    expectPredsMatchRebuild(g.fn, "retarget back");
+
+    // A lower-id predecessor lands in front of the existing ones.
+    g.fn.retargetSlot(g.a, 1, g.tail);
+    EXPECT_EQ(g.fn.block(g.tail).preds(),
+              (std::vector<BlockId>{g.a, g.b, g.c}));
+    expectPredsMatchRebuild(g.fn, "retarget below");
+}
+
+TEST(PredLists, RemoveBlockDropsItsEdges)
+{
+    SharedTail g;
+    g.fn.predsOf(g.a);
+    g.fn.retargetSlot(g.a, 1, g.b);  // c loses its only predecessor
+    g.fn.removeBlock(g.c);
+    EXPECT_EQ(g.fn.block(g.tail).preds(), (std::vector<BlockId>{g.b}));
+    expectPredsMatchRebuild(g.fn, "remove");
+}
+
+/** A three-way MWBR whose first two slots both target one block. */
+struct DoubleSlotMwbr
+{
+    Function fn{"f"};
+    BlockId m, x, y, dead;
+
+    DoubleSlotMwbr()
+    {
+        Builder bu(fn);
+        m = bu.newBlock();
+        x = bu.newBlock();
+        y = bu.newBlock();
+        dead = bu.newBlock();
+        fn.setEntry(m);
+        bu.setInsertPoint(m);
+        const Reg sel = bu.movi(1);
+        bu.mwbr(sel, {x, x, y});
+        bu.setInsertPoint(x);
+        bu.ret(Builder::I(1));
+        bu.setInsertPoint(y);
+        bu.ret(Builder::I(2));
+        // Unreachable, and it too branches to x through two slots.
+        bu.setInsertPoint(dead);
+        const Reg sel2 = bu.movi(0);
+        bu.mwbr(sel2, {x, y, x});
+        fn.block(m).edgeWeights() = {3, 2, 5};
+        fn.block(x).setWeight(5);
+    }
+};
+
+TEST(PredLists, DuplicatingOneOfTwoMwbrSlotsKeepsTheOriginal)
+{
+    DoubleSlotMwbr g;
+    EXPECT_EQ(g.fn.predsOf(g.x),
+              (std::vector<BlockId>{g.m, g.m, g.dead, g.dead}));
+    const BlockId clone = tailDuplicateEdge(g.fn, g.m, 0);
+    // The other slot still reaches the original: duplicating a merge
+    // point never orphans it.
+    EXPECT_EQ(g.fn.block(g.x).preds(),
+              (std::vector<BlockId>{g.m, g.dead, g.dead}));
+    EXPECT_EQ(g.fn.block(clone).preds(), (std::vector<BlockId>{g.m}));
+    expectPredsMatchRebuild(g.fn, "duplicate");
+
+    g.fn.removeBlock(g.dead);
+    EXPECT_EQ(g.fn.block(g.x).preds(), (std::vector<BlockId>{g.m}));
+    EXPECT_EQ(g.fn.block(g.y).preds(), (std::vector<BlockId>{g.m}));
+    expectPredsMatchRebuild(g.fn, "remove");
+}
+
+TEST(PredLists, FormationKeepsListsExactOnFuzzEnvelope)
+{
+    support::Rng rng(2718);
+    size_t clones = 0;
+    for (int i = 0; i < 12; ++i) {
+        const workloads::GenParams params = fuzz::mutateParams(rng);
+        auto mod = workloads::generateProgram("preds", params);
+        ir::Function &fn = mod->function("main");
+        workloads::profileFunction(fn, params.mem_words);
+        for (int variant = 0; variant < 2; ++variant) {
+            ir::Function f = fn.clone();
+            const size_t before = f.numBlockIds();
+            if (variant == 0)
+                formTreegionsTailDup(f, {});
+            else
+                formSuperblocks(f, {});
+            clones += f.numBlockIds() - before;
+            expectPredsMatchRebuild(
+                f, "program " + std::to_string(i) + " variant " +
+                       std::to_string(variant));
+        }
+    }
+    EXPECT_GT(clones, 0u);  // the programs did exercise duplication
 }
 
 } // namespace
