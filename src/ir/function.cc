@@ -14,9 +14,17 @@ Function::Function(std::string name)
 BlockId
 Function::createBlock()
 {
-    const BlockId id = static_cast<BlockId>(blocks_.size());
-    blocks_.push_back(std::make_unique<BasicBlock>(id));
-    blocks_.back()->original_id_ = id;
+    return createBlock(static_cast<BlockId>(blocks_.size()));
+}
+
+BlockId
+Function::createBlock(BlockId id)
+{
+    TG_ASSERT(!hasBlock(id));
+    if (blocks_.size() <= id)
+        blocks_.resize(static_cast<size_t>(id) + 1);
+    blocks_[id] = std::make_unique<BasicBlock>(id);
+    blocks_[id]->original_id_ = id;
     return id;
 }
 

@@ -44,6 +44,14 @@ class Function
     BlockId createBlock();
 
     /**
+     * Create block @p id, which must not be live; ids between the
+     * current end and @p id stay unused, as removed ids do.
+     *
+     * @return @p id
+     */
+    BlockId createBlock(BlockId id);
+
+    /**
      * Clone @p src into a fresh block (ops copied with fresh op ids;
      * dupGroup links each clone to its original). Used by tail
      * duplication.
@@ -146,6 +154,9 @@ class Function
 
     /** Allocate a fresh tail-duplication group id. */
     uint32_t freshDupGroup() { return next_dup_group_++; }
+
+    /** @return one past the largest op id allocated so far. */
+    OpId numOpIds() const { return next_op_id_; }
 
     /** @return one-past-the-max virtual GPR index. */
     uint32_t numGprs() const { return next_gpr_; }

@@ -5,23 +5,36 @@
 
 namespace treegion::ir {
 
+void
+Reg::appendTo(std::string &out) const
+{
+    out += cls == RegClass::Pred ? 'p' : cls == RegClass::Btr ? 'b' : 'r';
+    support::appendInt(out, idx);
+}
+
 std::string
 Reg::str() const
 {
-    const char *prefix = "r";
-    if (cls == RegClass::Pred)
-        prefix = "p";
-    else if (cls == RegClass::Btr)
-        prefix = "b";
-    return support::strprintf("%s%u", prefix, idx);
+    std::string out;
+    appendTo(out);
+    return out;
+}
+
+void
+Operand::appendTo(std::string &out) const
+{
+    if (isReg())
+        reg.appendTo(out);
+    else
+        support::appendInt(out, imm);
 }
 
 std::string
 Operand::str() const
 {
-    if (isReg())
-        return reg.str();
-    return support::strprintf("%lld", static_cast<long long>(imm));
+    std::string out;
+    appendTo(out);
+    return out;
 }
 
 std::vector<Reg>
@@ -57,39 +70,61 @@ Op::renameDefs(Reg from, Reg to)
     }
 }
 
-std::string
-Op::str() const
+namespace {
+
+void
+appendTarget(std::string &out, BlockId target)
 {
-    std::string out;
+    if (target == kNoBlock) {
+        out += "fallthru";
+    } else {
+        out += "bb";
+        support::appendInt(out, target);
+    }
+}
+
+} // namespace
+
+void
+Op::appendTo(std::string &out) const
+{
     // Destinations.
     for (size_t i = 0; i < dsts.size(); ++i) {
         if (i)
-            out += ",";
-        out += dsts[i].str();
+            out += ',';
+        dsts[i].appendTo(out);
     }
     if (!dsts.empty())
         out += " = ";
 
     // Mnemonic.
-    out += std::string(opcodeName(opcode));
+    out += opcodeName(opcode);
     if (opcode == Opcode::CMPP || opcode == Opcode::CMPPA ||
         opcode == Opcode::CMPPO) {
-        out += ".";
-        out += std::string(cmpKindName(cmp));
+        out += '.';
+        out += cmpKindName(cmp);
     }
 
-    // Operands, opcode-specific forms first.
-    if (opcode == Opcode::LD) {
-        out += support::strprintf(" [%s + %lld]", srcs[0].str().c_str(),
-                                  static_cast<long long>(srcs[1].imm));
-    } else if (opcode == Opcode::ST) {
-        out += support::strprintf(" [%s + %lld], %s", srcs[0].str().c_str(),
-                                  static_cast<long long>(srcs[1].imm),
-                                  srcs[2].str().c_str());
+    // Operands: the bracketed memory forms when the op has their
+    // operands (a malformed op under verification may not), else a
+    // plain list.
+    const size_t mem_srcs = opcode == Opcode::LD   ? 2
+                            : opcode == Opcode::ST ? 3
+                                                   : 0;
+    if (mem_srcs && srcs.size() >= mem_srcs) {
+        out += " [";
+        srcs[0].appendTo(out);
+        out += " + ";
+        support::appendInt(out, srcs[1].imm);
+        out += ']';
+        if (opcode == Opcode::ST) {
+            out += ", ";
+            srcs[2].appendTo(out);
+        }
     } else {
         for (size_t i = 0; i < srcs.size(); ++i) {
-            out += (i ? ", " : " ");
-            out += srcs[i].str();
+            out += i ? ", " : " ";
+            srcs[i].appendTo(out);
         }
     }
 
@@ -99,24 +134,30 @@ Op::str() const
         for (size_t i = 0; i < targets.size(); ++i) {
             if (i)
                 out += ", ";
-            out += support::strprintf(
-                "%lld:", static_cast<long long>(caseValues[i]));
-            out += targets[i] == kNoBlock
-                       ? "fallthru"
-                       : support::strprintf("bb%u", targets[i]);
+            if (i < caseValues.size())
+                support::appendInt(out, caseValues[i]);
+            out += ':';
+            appendTarget(out, targets[i]);
         }
-        out += "]";
+        out += ']';
     } else {
         for (size_t i = 0; i < targets.size(); ++i) {
             out += (srcs.empty() && i == 0) ? " " : ", ";
-            out += targets[i] == kNoBlock
-                       ? "fallthru"
-                       : support::strprintf("bb%u", targets[i]);
+            appendTarget(out, targets[i]);
         }
     }
 
-    if (guard)
-        out += " ? " + guard->str();
+    if (guard) {
+        out += " ? ";
+        guard->appendTo(out);
+    }
+}
+
+std::string
+Op::str() const
+{
+    std::string out;
+    appendTo(out);
     return out;
 }
 

@@ -120,6 +120,9 @@ struct Op
     /** Replace every definition of @p from with @p to. */
     void renameDefs(Reg from, Reg to);
 
+    /** Append the textual IR syntax (no trailing newline) to @p out. */
+    void appendTo(std::string &out) const;
+
     /** Render in the textual IR syntax (no trailing newline). */
     std::string str() const;
 };

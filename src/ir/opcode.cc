@@ -68,11 +68,39 @@ cmpKindName(CmpKind kind)
     return kCmpNames[static_cast<size_t>(kind)];
 }
 
+namespace {
+
+/**
+ * @p name packed into one word (bytes little-endian, length in the top
+ * byte) so a mnemonic lookup is integer compares; 0 for names longer
+ * than seven bytes, which no opcode has.
+ */
+uint64_t
+packMnemonic(std::string_view name)
+{
+    if (name.size() > 7)
+        return 0;
+    uint64_t key = static_cast<uint64_t>(name.size()) << 56;
+    for (size_t i = 0; i < name.size(); ++i)
+        key |= static_cast<uint64_t>(static_cast<unsigned char>(name[i]))
+               << (8 * i);
+    return key;
+}
+
+} // namespace
+
 bool
 parseOpcode(std::string_view name, Opcode &out)
 {
+    static const std::array<uint64_t, kNumOpcodes> kKeys = [] {
+        std::array<uint64_t, kNumOpcodes> keys{};
+        for (size_t i = 0; i < kNumOpcodes; ++i)
+            keys[i] = packMnemonic(kInfo[i].name);
+        return keys;
+    }();
+    const uint64_t key = packMnemonic(name);
     for (size_t i = 0; i < kNumOpcodes; ++i) {
-        if (kInfo[i].name == name) {
+        if (kKeys[i] == key) {
             out = static_cast<Opcode>(i);
             return true;
         }

@@ -34,6 +34,9 @@ struct Reg
     bool operator==(const Reg &other) const = default;
     auto operator<=>(const Reg &other) const = default;
 
+    /** Append "r3" / "p1" / "b2" to @p out. */
+    void appendTo(std::string &out) const;
+
     /** Render as "r3" / "p1" / "b2". */
     std::string str() const;
 };
@@ -76,6 +79,9 @@ struct Operand
     bool isImm() const { return kind == Kind::Immediate; }
 
     bool operator==(const Operand &other) const = default;
+
+    /** Append the register name or decimal immediate to @p out. */
+    void appendTo(std::string &out) const;
 
     /** Render as register name or decimal immediate. */
     std::string str() const;

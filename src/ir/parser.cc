@@ -1,7 +1,8 @@
 #include "ir/parser.h"
 
-#include <cctype>
-#include <cstdlib>
+#include <algorithm>
+#include <array>
+#include <charconv>
 #include <optional>
 #include <vector>
 
@@ -15,21 +16,141 @@ using support::startsWith;
 using support::strprintf;
 using support::trim;
 
-/** Recursive-descent, line-oriented parser. */
+/** @return true when all of @p text (non-empty) parses into @p out. */
+template <typename T>
+bool
+parseNumber(std::string_view text, T &out)
+{
+    const char *end = text.data() + text.size();
+    const auto res = std::from_chars(text.data(), end, out);
+    return !text.empty() && res.ec == std::errc() && res.ptr == end;
+}
+
+/** Parse a register name like r3 / p1 / b2. */
+std::optional<Reg>
+parseReg(std::string_view tok)
+{
+    if (tok.size() < 2)
+        return std::nullopt;
+    RegClass cls;
+    if (tok[0] == 'r')
+        cls = RegClass::Gpr;
+    else if (tok[0] == 'p')
+        cls = RegClass::Pred;
+    else if (tok[0] == 'b' && tok[1] != 'b')
+        cls = RegClass::Btr;
+    else
+        return std::nullopt;
+    uint32_t idx;
+    if (!parseNumber(tok.substr(1), idx))
+        return std::nullopt;
+    return Reg{cls, idx};
+}
+
+std::optional<int64_t>
+parseImm(std::string_view tok)
+{
+    int64_t value;
+    if (!parseNumber(tok, value))
+        return std::nullopt;
+    return value;
+}
+
+/** Parse "bb<N>" into @p out. */
+bool
+parseBlockId(std::string_view tok, BlockId &out)
+{
+    return startsWith(tok, "bb") && parseNumber(tok.substr(2), out) &&
+           out != kNoBlock;
+}
+
+/** Parse "fallthru" or "bb<N>" into @p out. */
+bool
+parseTarget(std::string_view tok, BlockId &out)
+{
+    if (tok == "fallthru") {
+        out = kNoBlock;
+        return true;
+    }
+    return parseBlockId(tok, out);
+}
+
+/**
+ * Call @p fn on each non-empty ','-separated piece of @p list, in
+ * order. @return false as soon as @p fn does.
+ */
+template <typename Fn>
+bool
+forEachPiece(std::string_view list, Fn &&fn)
+{
+    while (!list.empty()) {
+        const size_t comma = std::min(list.find(','), list.size());
+        if (comma > 0 && !fn(list.substr(0, comma)))
+            return false;
+        list.remove_prefix(std::min(comma + 1, list.size()));
+    }
+    return true;
+}
+
+/** Split @p line on runs of spaces into @p out (views into @p line). */
+void
+splitFields(std::string_view line, std::vector<std::string_view> &out)
+{
+    out.clear();
+    size_t start = 0;
+    while (start < line.size()) {
+        size_t end = line.find(' ', start);
+        if (end == std::string_view::npos)
+            end = line.size();
+        if (end > start)
+            out.push_back(line.substr(start, end - start));
+        start = end + 1;
+    }
+}
+
+/** Op-body character classes for tokenizeOp. */
+enum CharClass : uint8_t { kWord, kSeparator, kPunct };
+
+constexpr std::array<CharClass, 256> kCharClass = [] {
+    std::array<CharClass, 256> classes{};
+    for (const unsigned char c : std::string_view(" ,\t"))
+        classes[c] = kSeparator;
+    for (const unsigned char c : std::string_view("[]+?:"))
+        classes[c] = kPunct;
+    return classes;
+}();
+
+/**
+ * Split an op body into @p out on spaces, tabs and commas, keeping
+ * each of []+?: as a token of its own.
+ */
+void
+tokenizeOp(std::string_view body, std::vector<std::string_view> &out)
+{
+    out.clear();
+    size_t start = 0;
+    for (size_t i = 0; i < body.size(); ++i) {
+        const CharClass cls =
+            kCharClass[static_cast<unsigned char>(body[i])];
+        if (cls == kWord)
+            continue;
+        if (i > start)
+            out.push_back(body.substr(start, i - start));
+        if (cls == kPunct)
+            out.push_back(body.substr(i, 1));
+        start = i + 1;
+    }
+    if (body.size() > start)
+        out.push_back(body.substr(start));
+}
+
+/** Single-pass, line-oriented recursive-descent parser. */
 class Parser
 {
   public:
     Parser(std::string_view text, std::string *error)
-        : error_(error)
+        : text_(text), error_(error)
     {
-        size_t start = 0;
-        while (start <= text.size()) {
-            size_t end = text.find('\n', start);
-            if (end == std::string_view::npos)
-                end = text.size();
-            lines_.push_back(text.substr(start, end - start));
-            start = end + 1;
-        }
     }
 
     std::unique_ptr<Module>
@@ -38,11 +159,15 @@ class Parser
         std::string_view line;
         if (!nextLine(line) || !startsWith(line, "module "))
             return fail("expected 'module <name> mem=<words>'");
-        auto fields = support::splitString(line, ' ');
-        if (fields.size() != 3 || !startsWith(fields[2], "mem="))
+        splitFields(line, fields_);
+        if (fields_.size() != 3 || !startsWith(fields_[2], "mem="))
             return fail("malformed module header");
-        auto mod = std::make_unique<Module>(fields[1]);
-        mod->setMemWords(std::strtoull(fields[2].c_str() + 4, nullptr, 10));
+        size_t mem_words;
+        if (!parseNumber(fields_[2].substr(4), mem_words) ||
+            mem_words > kMaxParsedMemWords)
+            return fail(badValue("mem=", fields_[2]));
+        auto mod = std::make_unique<Module>(std::string(fields_[1]));
+        mod->setMemWords(mem_words);
 
         while (nextLine(line)) {
             if (!startsWith(line, "func @"))
@@ -55,30 +180,59 @@ class Parser
 
   private:
     std::unique_ptr<Module>
-    fail(const std::string &msg)
+    fail(std::string_view msg)
     {
-        if (error_)
-            *error_ = strprintf("line %zu: %s", line_no_, msg.c_str());
-        failed_ = true;
+        if (error_) {
+            *error_ = strprintf("line %zu: %.*s", line_no_,
+                                static_cast<int>(msg.size()),
+                                msg.data());
+        }
         return nullptr;
     }
 
     bool
-    failb(const std::string &msg)
+    failb(std::string_view msg)
     {
         fail(msg);
         return false;
     }
 
-    /** Fetch the next non-empty line, trimmed. */
+    static std::string
+    badValue(std::string_view key, std::string_view field)
+    {
+        std::string msg = "bad ";
+        msg += key;
+        msg += " value: ";
+        msg += field;
+        return msg;
+    }
+
+    /** @return the number of line breaks before the next @p stop. */
+    size_t
+    linesBefore(char stop) const
+    {
+        std::string_view rest = text_.substr(std::min(pos_, text_.size()));
+        rest = rest.substr(0, std::min(rest.find(stop), rest.size()));
+        size_t lines = 0;
+        for (size_t at = rest.find('\n'); at != std::string_view::npos;
+             at = rest.find('\n', at + 1))
+            ++lines;
+        return lines;
+    }
+
+    /** Fetch the next non-empty, non-comment line, trimmed. */
     bool
     nextLine(std::string_view &out)
     {
-        while (pos_ < lines_.size()) {
-            std::string_view line = trim(lines_[pos_]);
-            ++pos_;
-            line_no_ = pos_;
-            if (!line.empty() && !startsWith(line, "#")) {
+        while (pos_ <= text_.size()) {
+            size_t end = text_.find('\n', pos_);
+            if (end == std::string_view::npos)
+                end = text_.size();
+            const std::string_view line =
+                trim(text_.substr(pos_, end - pos_));
+            pos_ = end + 1;
+            ++line_no_;
+            if (!line.empty() && line[0] != '#') {
                 out = line;
                 return true;
             }
@@ -90,251 +244,193 @@ class Parser
     parseFunction(Module &mod, std::string_view header)
     {
         // func @name entry=bbN gprs=N preds=N {
-        auto fields = support::splitString(header, ' ');
-        if (fields.size() < 3 || fields.back() != "{")
+        splitFields(header, fields_);
+        if (fields_.size() < 3 || fields_.back() != "{")
             return failb("malformed func header");
-        const std::string name = fields[0] == "func" && fields[1][0] == '@'
-                                     ? fields[1].substr(1)
-                                     : "";
+        const std::string name(fields_[1].substr(1));
         if (name.empty())
             return failb("missing function name");
+        if (mod.hasFunction(name))
+            return failb("duplicate function @" + name);
         Function &fn = mod.createFunction(name);
 
         BlockId entry = kNoBlock;
         uint32_t gprs = 0;
         uint32_t preds = 0;
-        for (size_t i = 2; i + 1 < fields.size(); ++i) {
-            const std::string &f = fields[i];
-            if (startsWith(f, "entry=bb"))
-                entry = static_cast<BlockId>(std::strtoul(
-                    f.c_str() + 8, nullptr, 10));
-            else if (startsWith(f, "gprs="))
-                gprs = static_cast<uint32_t>(std::strtoul(
-                    f.c_str() + 5, nullptr, 10));
-            else if (startsWith(f, "preds="))
-                preds = static_cast<uint32_t>(std::strtoul(
-                    f.c_str() + 6, nullptr, 10));
-            else
-                return failb("unknown func attribute: " + f);
+        for (size_t i = 2; i + 1 < fields_.size(); ++i) {
+            const std::string_view f = fields_[i];
+            if (startsWith(f, "entry=bb")) {
+                if (!parseBlockId(f.substr(6), entry))
+                    return failb(badValue("entry=", f));
+            } else if (startsWith(f, "gprs=")) {
+                if (!parseNumber(f.substr(5), gprs) ||
+                    gprs > kMaxParsedRegs)
+                    return failb(badValue("gprs=", f));
+            } else if (startsWith(f, "preds=")) {
+                if (!parseNumber(f.substr(6), preds) ||
+                    preds > kMaxParsedRegs)
+                    return failb(badValue("preds=", f));
+            } else {
+                return failb(std::string("unknown func attribute: ")
+                                 .append(f));
+            }
         }
         fn.reserveRegs(gprs, preds, 0);
 
-        std::vector<bool> defined;
         std::string_view line;
         while (nextLine(line)) {
             if (line == "}")
                 break;
             if (!startsWith(line, "block bb"))
                 return failb("expected 'block bb<N> ... {'");
-            if (!parseBlock(fn, line, defined))
+            if (!parseBlock(fn, line))
                 return false;
         }
 
-        // Remove blocks that were only created to reserve id space.
-        fn.invalidatePreds();
-        for (BlockId id = 0; id < fn.numBlockIds(); ++id) {
-            if (!fn.hasBlock(id) ||
-                (id < defined.size() && defined[id])) {
-                continue;
+        // Branch targets resolve once every block is known.
+        BlockId undefined = kNoBlock;
+        fn.forEachBlock([&](const BasicBlock &b) {
+            if (!b.hasTerminator())
+                return;
+            for (const BlockId t : b.terminator().targets) {
+                if (t != kNoBlock && !fn.hasBlock(t))
+                    undefined = std::min(undefined, t);
             }
-            if (!fn.predsOf(id).empty())
-                return failb(strprintf("branch to undefined block bb%u",
-                                       id));
-            fn.removeBlock(id);
-        }
+        });
+        if (undefined != kNoBlock)
+            return failb(strprintf("branch to undefined block bb%u",
+                                   undefined));
         if (entry == kNoBlock || !fn.hasBlock(entry))
             return failb("function entry block missing");
         fn.setEntry(entry);
         return true;
     }
 
-    /** Ensure ids 0..id exist in @p fn. */
-    void
-    reserveBlocks(Function &fn, BlockId id)
-    {
-        while (fn.numBlockIds() <= id)
-            fn.createBlock();
-    }
-
     bool
-    parseBlock(Function &fn, std::string_view header,
-               std::vector<bool> &defined)
+    parseBlock(Function &fn, std::string_view header)
     {
-        auto fields = support::splitString(header, ' ');
-        if (fields.size() < 3 || fields.back() != "{")
+        splitFields(header, fields_);
+        if (fields_.size() < 3 || fields_.back() != "{")
             return failb("malformed block header");
-        const BlockId id = static_cast<BlockId>(
-            std::strtoul(fields[1].c_str() + 2, nullptr, 10));
-        reserveBlocks(fn, id);
-        if (id < defined.size() && defined[id])
+        BlockId id;
+        if (!parseBlockId(fields_[1], id)) {
+            return failb(std::string("bad block id: ")
+                             .append(fields_[1]));
+        }
+        if (id > kMaxParsedBlockId) {
+            return failb(strprintf("block id bb%u above the limit bb%u",
+                                   id, kMaxParsedBlockId));
+        }
+        if (fn.hasBlock(id))
             return failb(strprintf("block bb%u defined twice", id));
-        if (defined.size() <= id)
-            defined.resize(id + 1, false);
-        defined[id] = true;
-        BasicBlock &b = fn.block(id);
+        BasicBlock &b = fn.block(fn.createBlock(id));
 
-        std::vector<double> edge_weights;
-        for (size_t i = 2; i + 1 < fields.size(); ++i) {
-            const std::string &f = fields[i];
-            if (startsWith(f, "weight="))
-                b.setWeight(std::strtod(f.c_str() + 7, nullptr));
-            else if (startsWith(f, "edges=[")) {
-                std::string inner = f.substr(7);
+        for (size_t i = 2; i + 1 < fields_.size(); ++i) {
+            const std::string_view f = fields_[i];
+            if (startsWith(f, "weight=")) {
+                double w;
+                if (!parseNumber(f.substr(7), w))
+                    return failb(badValue("weight=", f));
+                b.setWeight(w);
+            } else if (startsWith(f, "edges=[")) {
+                std::string_view inner = f.substr(7);
                 if (!inner.empty() && inner.back() == ']')
-                    inner.pop_back();
-                for (const auto &piece : support::splitString(inner, ','))
-                    edge_weights.push_back(
-                        std::strtod(piece.c_str(), nullptr));
+                    inner.remove_suffix(1);
+                // Repeated edges= fields concatenate.
+                const auto add = [&](std::string_view piece) {
+                    double w;
+                    if (!parseNumber(piece, w))
+                        return false;
+                    b.edgeWeights().push_back(w);
+                    return true;
+                };
+                const bool ok = forEachPiece(inner, add);
+                if (!ok)
+                    return failb(badValue("edges=", f));
             } else {
-                return failb("unknown block attribute: " + f);
+                return failb(std::string("unknown block attribute: ")
+                                 .append(f));
             }
         }
 
+        // Ops never contain '}', so the lines before the next one bound
+        // the block's op count: size the op vector once.
+        b.ops().reserve(linesBefore('}'));
+
+        bool terminated = false;
         std::string_view line;
         while (nextLine(line)) {
             if (line == "}")
                 break;
-            Op op;
-            if (!parseOp(fn, line, op))
+            // Built in place: the op takes its id in text order.
+            Op &op = b.ops().emplace_back();
+            op.id = fn.freshOpId();
+            op.home = id;
+            if (!parseOp(line, op))
                 return false;
             if (op.isBranch()) {
-                if (b.hasTerminator())
+                if (terminated)
                     return failb("multiple terminators in block");
-                fn.appendTerminator(id, std::move(op));
-            } else {
-                if (b.hasTerminator())
-                    return failb("op after terminator");
-                fn.appendOp(id, std::move(op));
+                terminated = true;
+            } else if (terminated) {
+                return failb("op after terminator");
             }
         }
-        b.edgeWeights() = std::move(edge_weights);
         return true;
     }
 
-    /** Parse a register name like r3 / p1 / b2. */
-    static std::optional<Reg>
-    parseReg(std::string_view tok)
+    bool
+    parseDsts(std::string_view dsts, Op &op)
     {
-        if (tok.size() < 2)
-            return std::nullopt;
-        RegClass cls;
-        if (tok[0] == 'r')
-            cls = RegClass::Gpr;
-        else if (tok[0] == 'p')
-            cls = RegClass::Pred;
-        else if (tok[0] == 'b' && !startsWith(tok, "bb"))
-            cls = RegClass::Btr;
-        else
-            return std::nullopt;
-        uint32_t idx = 0;
-        for (char c : tok.substr(1)) {
-            if (!std::isdigit(static_cast<unsigned char>(c)))
-                return std::nullopt;
-            idx = idx * 10 + static_cast<uint32_t>(c - '0');
+        if (auto r = parseReg(dsts)) {
+            // The common case: one register, nothing to split.
+            op.dsts.assign(1, *r);
+            return true;
         }
-        return Reg{cls, idx};
-    }
-
-    static std::optional<int64_t>
-    parseImm(std::string_view tok)
-    {
-        if (tok.empty())
-            return std::nullopt;
-        size_t i = tok[0] == '-' ? 1 : 0;
-        if (i == tok.size())
-            return std::nullopt;
-        for (; i < tok.size(); ++i) {
-            if (!std::isdigit(static_cast<unsigned char>(tok[i])))
-                return std::nullopt;
-        }
-        return std::strtoll(std::string(tok).c_str(), nullptr, 10);
-    }
-
-    static std::optional<BlockId>
-    parseTarget(std::string_view tok)
-    {
-        if (tok == "fallthru")
-            return kNoBlock;
-        if (startsWith(tok, "bb")) {
-            uint32_t idx = 0;
-            if (tok.size() < 3)
-                return std::nullopt;
-            for (char c : tok.substr(2)) {
-                if (!std::isdigit(static_cast<unsigned char>(c)))
-                    return std::nullopt;
-                idx = idx * 10 + static_cast<uint32_t>(c - '0');
+        op.dsts.reserve(std::count(dsts.begin(), dsts.end(), ',') + 1);
+        std::string_view bad;
+        const bool ok = forEachPiece(dsts, [&](std::string_view d) {
+            auto r = parseReg(trim(d));
+            if (!r) {
+                bad = d;
+                return false;
             }
-            return idx;
-        }
-        return std::nullopt;
-    }
-
-    /** Split an op body into tokens on spaces/commas, keeping []+?:. */
-    static std::vector<std::string>
-    tokenize(std::string_view text)
-    {
-        std::vector<std::string> toks;
-        std::string cur;
-        auto flush = [&]() {
-            if (!cur.empty()) {
-                toks.push_back(cur);
-                cur.clear();
-            }
-        };
-        for (char c : text) {
-            if (c == ' ' || c == ',' || c == '\t') {
-                flush();
-            } else if (c == '[' || c == ']' || c == '+' || c == '?' ||
-                       c == ':') {
-                flush();
-                toks.push_back(std::string(1, c));
-            } else {
-                cur += c;
-            }
-        }
-        flush();
-        return toks;
+            op.dsts.push_back(*r);
+            return true;
+        });
+        return ok ||
+               failb(std::string("bad destination register: ").append(bad));
     }
 
     bool
-    parseOp(Function &fn, std::string_view line, Op &op)
+    parseOp(std::string_view line, Op &op)
     {
         // Destinations (before '=').
         std::string_view body = line;
         const size_t eq = line.find(" = ");
-        std::vector<Reg> dsts;
         if (eq != std::string_view::npos) {
-            for (const auto &d :
-                 support::splitString(line.substr(0, eq), ',')) {
-                auto r = parseReg(trim(d));
-                if (!r)
-                    return failb("bad destination register: " + d);
-                dsts.push_back(*r);
-            }
+            if (!parseDsts(line.substr(0, eq), op))
+                return false;
             body = line.substr(eq + 3);
         }
 
-        auto toks = tokenize(body);
+        auto &toks = toks_;
+        tokenizeOp(body, toks);
         if (toks.empty())
             return failb("empty op");
 
         // Mnemonic, possibly with a CMPP kind suffix.
-        std::string mnemonic = toks[0];
-        CmpKind kind = CmpKind::EQ;
+        std::string_view mnemonic = toks[0];
         const size_t dot = mnemonic.find('.');
-        if (dot != std::string::npos) {
-            if (!parseCmpKind(mnemonic.substr(dot + 1), kind))
-                return failb("bad compare kind in " + mnemonic);
+        if (dot != std::string_view::npos) {
+            if (!parseCmpKind(mnemonic.substr(dot + 1), op.cmp)) {
+                return failb(std::string("bad compare kind in ")
+                                 .append(mnemonic));
+            }
             mnemonic = mnemonic.substr(0, dot);
         }
-        Opcode opcode;
-        if (!parseOpcode(mnemonic, opcode))
-            return failb("unknown opcode: " + mnemonic);
-
-        op = Op{};
-        op.opcode = opcode;
-        op.cmp = kind;
-        op.dsts = std::move(dsts);
+        if (!parseOpcode(mnemonic, op.opcode))
+            return failb(std::string("unknown opcode: ").append(mnemonic));
 
         // Trailing guard: "? pN".
         size_t end = toks.size();
@@ -347,29 +443,35 @@ class Parser
         }
 
         size_t i = 1;
-        auto expect = [&](const char *tok) {
+        const auto at = [&]() {
+            return i < end ? toks[i] : std::string_view();
+        };
+        const auto expect = [&](std::string_view tok) {
             if (i >= end || toks[i] != tok)
                 return false;
             ++i;
             return true;
         };
 
+        const Opcode opcode = op.opcode;
         if (opcode == Opcode::LD || opcode == Opcode::ST) {
             if (!expect("["))
                 return failb("expected '[' in memory op");
-            auto base = parseReg(i < end ? toks[i] : "");
+            auto base = parseReg(at());
             if (!base)
                 return failb("bad base register");
             ++i;
             if (!expect("+"))
                 return failb("expected '+' in memory op");
-            auto off = parseImm(i < end ? toks[i] : "");
+            auto off = parseImm(at());
             if (!off)
                 return failb("bad memory offset");
             ++i;
             if (!expect("]"))
                 return failb("expected ']' in memory op");
-            op.srcs = {Operand::makeReg(*base), Operand::makeImm(*off)};
+            op.srcs.reserve(opcode == Opcode::ST ? 3 : 2);
+            op.srcs.push_back(Operand::makeReg(*base));
+            op.srcs.push_back(Operand::makeImm(*off));
             if (opcode == Opcode::ST) {
                 if (i >= end)
                     return failb("missing store value");
@@ -382,13 +484,17 @@ class Parser
                 ++i;
             }
         } else if (opcode == Opcode::MWBR) {
-            auto sel = parseReg(i < end ? toks[i] : "");
+            auto sel = parseReg(at());
             if (!sel)
                 return failb("bad MWBR selector");
             ++i;
-            op.srcs = {Operand::makeReg(*sel)};
+            op.srcs.push_back(Operand::makeReg(*sel));
             if (!expect("["))
                 return failb("expected '[' in MWBR");
+            const size_t cases = static_cast<size_t>(
+                std::count(toks.begin() + i, toks.begin() + end, ":"));
+            op.caseValues.reserve(cases);
+            op.targets.reserve(cases);
             while (i < end && toks[i] != "]") {
                 auto value = parseImm(toks[i]);
                 if (!value)
@@ -396,46 +502,51 @@ class Parser
                 ++i;
                 if (!expect(":"))
                     return failb("expected ':' in MWBR case");
-                auto target = parseTarget(i < end ? toks[i] : "");
-                if (!target)
+                BlockId target;
+                if (!parseTarget(at(), target))
                     return failb("bad MWBR case target");
                 ++i;
                 op.caseValues.push_back(*value);
-                op.targets.push_back(*target);
+                op.targets.push_back(target);
             }
             if (!expect("]"))
                 return failb("expected ']' in MWBR");
         } else {
-            // Generic: a mix of operands and branch targets.
+            // Generic: a mix of operands and branch targets. Sizing
+            // both vectors up front keeps each op at one allocation
+            // per non-empty vector.
+            const size_t targets = static_cast<size_t>(std::count_if(
+                toks.begin() + i, toks.begin() + end,
+                [](std::string_view t) {
+                    return startsWith(t, "bb") || t == "fallthru";
+                }));
+            op.targets.reserve(targets);
+            op.srcs.reserve(end - i - targets);
             for (; i < end; ++i) {
-                const std::string &tok = toks[i];
-                if (auto target = parseTarget(tok)) {
-                    op.targets.push_back(*target);
+                const std::string_view tok = toks[i];
+                BlockId target;
+                if (parseTarget(tok, target)) {
+                    op.targets.push_back(target);
                 } else if (auto r = parseReg(tok)) {
                     op.srcs.push_back(Operand::makeReg(*r));
                 } else if (auto imm = parseImm(tok)) {
                     op.srcs.push_back(Operand::makeImm(*imm));
                 } else {
-                    return failb("bad operand: " + tok);
+                    return failb(std::string("bad operand: ").append(tok));
                 }
             }
-            // The printed form of PBR/BRU carries targets only; make
-            // sure referenced blocks exist.
         }
         if (i != end)
             return failb("trailing tokens in op");
-        for (BlockId t : op.targets) {
-            if (t != kNoBlock)
-                reserveBlocks(fn, t);
-        }
         return true;
     }
 
+    std::string_view text_;
     std::string *error_;
-    std::vector<std::string_view> lines_;
     size_t pos_ = 0;
     size_t line_no_ = 0;
-    bool failed_ = false;
+    std::vector<std::string_view> fields_;  ///< header fields, reused
+    std::vector<std::string_view> toks_;    ///< op tokens, reused
 };
 
 } // namespace

@@ -1,7 +1,6 @@
 #include "ir/verifier.h"
 
-#include <unordered_map>
-#include <unordered_set>
+#include <algorithm>
 
 #include "support/logging.h"
 #include "support/string_utils.h"
@@ -15,7 +14,10 @@ using support::strprintf;
 class Verifier
 {
   public:
-    Verifier(Function &fn, VerifyLevel level) : fn_(fn), level_(level) {}
+    Verifier(Function &fn, VerifyLevel level)
+        : fn_(fn), level_(level), op_seen_(fn.numOpIds())
+    {
+    }
 
     std::vector<std::string>
     run()
@@ -29,6 +31,8 @@ class Verifier
         if (level_ == VerifyLevel::Schedulable)
             fn_.forEachBlock(
                 [&](const BasicBlock &b) { checkSchedulable(b); });
+        fn_.forEachBlock(
+            [&](const BasicBlock &b) { checkRegisterRanges(b); });
         return problems_;
     }
 
@@ -59,7 +63,7 @@ class Verifier
                 err(where(op) + ": branch op must be the terminator");
             if (op.home != b.id())
                 err(where(op) + ": op.home does not match its block");
-            if (!op_ids_.insert(op.id).second)
+            if (!firstSighting(op.id))
                 err(where(op) + ": duplicate op id");
             checkOpShape(b, op);
         }
@@ -128,7 +132,7 @@ class Verifier
             !op.srcs[0].isImm()) {
             err(where() + ": MOVI source must be immediate");
         }
-        if ((op.isLoad() || op.isStore()) && op.srcs.size() >= 2) {
+        if ((info.isLoad || info.isStore) && op.srcs.size() >= 2) {
             if (!op.srcs[0].isReg() || op.srcs[0].reg.cls != RegClass::Gpr)
                 err(where() + ": memory base must be a GPR");
             if (!op.srcs[1].isImm())
@@ -175,25 +179,40 @@ class Verifier
         }
     }
 
+    /** @return false when op id @p id was already seen. */
+    bool
+    firstSighting(OpId id)
+    {
+        // Only a hand-edited op can carry an id the function never
+        // allocated.
+        if (id >= op_seen_.size())
+            op_seen_.resize(static_cast<size_t>(id) + 1);
+        if (op_seen_[id])
+            return false;
+        op_seen_[id] = true;
+        return true;
+    }
+
     void
     checkReachability()
     {
-        std::unordered_set<BlockId> seen;
+        std::vector<bool> seen(fn_.numBlockIds());
         std::vector<BlockId> stack = {fn_.entry()};
+        seen[fn_.entry()] = true;
         while (!stack.empty()) {
-            const BlockId id = stack.back();
+            const BasicBlock &b = fn_.block(stack.back());
             stack.pop_back();
-            if (!seen.insert(id).second)
+            if (!b.hasTerminator())
                 continue;
-            if (!fn_.hasBlock(id))
-                continue;
-            for (BlockId succ : fn_.block(id).successors()) {
-                if (succ != kNoBlock)
+            for (const BlockId succ : b.terminator().targets) {
+                if (fn_.hasBlock(succ) && !seen[succ]) {
+                    seen[succ] = true;
                     stack.push_back(succ);
+                }
             }
         }
         fn_.forEachBlock([&](const BasicBlock &b) {
-            if (!seen.count(b.id()))
+            if (!seen[b.id()])
                 err(strprintf("bb%u unreachable from entry", b.id()));
         });
     }
@@ -203,9 +222,8 @@ class Verifier
     checkSchedulable(const BasicBlock &b)
     {
         // Collect predicate defs in this block.
-        std::unordered_map<uint32_t, size_t> pred_def_idx;
-        for (size_t i = 0; i < b.ops().size(); ++i) {
-            const Op &op = b.ops()[i];
+        pred_defs_.clear();
+        for (const Op &op : b.ops()) {
             if (op.guard) {
                 err(strprintf("bb%u op%u: guards are a scheduler "
                               "output, not an input", b.id(), op.id));
@@ -225,28 +243,36 @@ class Verifier
                                   "one destination", b.id(), op.id));
                 }
                 for (const Reg &d : op.dsts)
-                    pred_def_idx[d.idx] = i;
+                    pred_defs_.push_back(d.idx);
             }
             // Predicate uses may only be block terminator conditions.
             if (!op.isBranch()) {
-                for (const Reg &use : op.usedRegs()) {
+                op.forEachUsedReg([&](Reg use) {
                     if (use.cls == RegClass::Pred)
                         err(strprintf("bb%u op%u: predicate used by a "
                                       "non-branch op", b.id(), op.id));
-                }
+                });
             }
         }
+        // checkBlock reported a missing terminator.
+        if (!b.hasTerminator())
+            return;
         const Op &term = b.terminator();
         if (term.opcode == Opcode::BRCT || term.opcode == Opcode::BRCF) {
             if (term.targets.size() != 2) {
                 err(strprintf("bb%u: sequential conditional branch "
                               "needs taken and fall targets", b.id()));
             }
-            const Reg cond = term.srcs[0].reg;
-            if (!pred_def_idx.count(cond.idx)) {
+            // checkOpShape reported a missing condition.
+            const uint32_t cond =
+                term.srcs.empty() ? 0 : term.srcs[0].reg.idx;
+            const bool defined =
+                std::find(pred_defs_.begin(), pred_defs_.end(), cond) !=
+                pred_defs_.end();
+            if (!term.srcs.empty() && !defined) {
                 err(strprintf("bb%u: branch condition p%u not defined "
                               "by a CMPP in the same block", b.id(),
-                              cond.idx));
+                              cond));
             }
         }
         if (term.opcode == Opcode::MWBR) {
@@ -258,10 +284,49 @@ class Verifier
         }
     }
 
+    /** @return the number of registers of @p cls the function declares. */
+    uint32_t
+    declared(RegClass cls) const
+    {
+        switch (cls) {
+          case RegClass::Gpr: return fn_.numGprs();
+          case RegClass::Pred: return fn_.numPreds();
+          case RegClass::Btr: return fn_.numBtrs();
+        }
+        return 0;
+    }
+
+    /**
+     * Every register an op names must lie inside its class's declared
+     * range (a parsed function's gprs=/preds=): the simulators size
+     * their register files from those counts.
+     */
+    void
+    checkRegisterRanges(const BasicBlock &b)
+    {
+        for (const Op &op : b.ops()) {
+            std::optional<Reg> bad;
+            const auto check = [&](Reg r) {
+                if (!bad && r.idx >= declared(r.cls))
+                    bad = r;
+            };
+            for (const Reg &d : op.dsts)
+                check(d);
+            op.forEachUsedReg(check);
+            if (bad) {
+                err(strprintf("bb%u op%u (%s): register %s out of range "
+                              "(%u declared)", b.id(), op.id,
+                              op.str().c_str(), bad->str().c_str(),
+                              declared(bad->cls)));
+            }
+        }
+    }
+
     Function &fn_;
     VerifyLevel level_;
     std::vector<std::string> problems_;
-    std::unordered_set<OpId> op_ids_;
+    std::vector<bool> op_seen_;        ///< by op id
+    std::vector<uint32_t> pred_defs_;  ///< CMPP-defined preds, per block
 };
 
 } // namespace

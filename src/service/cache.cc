@@ -1,6 +1,5 @@
 #include "service/cache.h"
 
-#include <sstream>
 #include <utility>
 
 #include "ir/printer.h"
@@ -44,26 +43,24 @@ parseCacheKeyHex(const std::string &hex, CacheKey *out)
 std::string
 canonicalFunctionText(const ir::Function &fn)
 {
-    std::ostringstream os;
-    ir::printFunction(os, fn);
-    return os.str();
+    std::string text;
+    ir::appendFunction(text, fn);
+    return text;
 }
 
 CacheKey
 makeCacheKey(const std::string &canonical_fn,
              const std::string &config_fingerprint)
 {
-    // Two independent FNV-1a streams over "<fn> \x1f <config>"; the
-    // separator keeps (a, b) and (a + prefix-of-b, rest) distinct.
+    // Two independent FNV-1a streams over "<fn> \x1f <config>", fed
+    // in one pass; the separator keeps (a, b) and
+    // (a + prefix-of-b, rest) distinct.
     CacheKey key;
-    key.lo = support::fnv1a64(
-        config_fingerprint,
-        support::fnv1a64("\x1f", support::fnv1a64(canonical_fn)));
-    key.hi = support::fnv1a64(
-        config_fingerprint,
-        support::fnv1a64(
-            "\x1f", support::fnv1a64(canonical_fn,
-                                     support::kFnvOffsetBasisAlt)));
+    key.lo = support::kFnvOffsetBasis;
+    key.hi = support::kFnvOffsetBasisAlt;
+    support::fnv1a64Pair(canonical_fn, key.lo, key.hi);
+    support::fnv1a64Pair("\x1f", key.lo, key.hi);
+    support::fnv1a64Pair(config_fingerprint, key.lo, key.hi);
     return key;
 }
 

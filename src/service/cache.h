@@ -4,7 +4,7 @@
  *
  * A cache key is the 128-bit content hash of (canonical function
  * text, configuration fingerprint). "Canonical" means the function
- * is printed through ir::printFunction after parsing, so two
+ * is printed through ir::appendFunction after parsing, so two
  * textually different but structurally identical submissions (extra
  * whitespace, comments, reordered incidentals the printer
  * normalizes) address the same entry. The configuration fingerprint

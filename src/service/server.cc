@@ -1167,6 +1167,15 @@ Server::compileNow(const Request &req)
             return makeError(status::kError,
                              "verifier: " + problems.front());
     }
+    // Profiling input images keep kReservedWords for counters and
+    // need data words beyond them.
+    if (req.profile && mod->memWords() <= workloads::kReservedWords) {
+        return makeError(
+            status::kError,
+            support::strprintf("module mem=%zu is too small to profile "
+                               "(needs more than %zu words)",
+                               mod->memWords(), workloads::kReservedWords));
+    }
 
     // Content address: canonical (printed) function text, so
     // submissions that differ only in formatting share an entry,

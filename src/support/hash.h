@@ -36,6 +36,21 @@ fnv1a64(std::string_view data, uint64_t seed = kFnvOffsetBasis)
     return hash;
 }
 
+/**
+ * Fold @p data into two FNV-1a states in one pass: @p a and @p b end
+ * as fnv1a64(data, a) and fnv1a64(data, b), but the two independent
+ * multiply chains overlap instead of running back to back.
+ */
+inline constexpr void
+fnv1a64Pair(std::string_view data, uint64_t &a, uint64_t &b)
+{
+    for (const char c : data) {
+        const auto byte = static_cast<unsigned char>(c);
+        a = (a ^ byte) * 0x100000001b3ull;
+        b = (b ^ byte) * 0x100000001b3ull;
+    }
+}
+
 } // namespace treegion::support
 
 #endif // TREEGION_SUPPORT_HASH_H

@@ -24,12 +24,14 @@ splitString(std::string_view text, char sep)
 std::string_view
 trim(std::string_view text)
 {
-    const char *ws = " \t\r\n";
-    const size_t begin = text.find_first_not_of(ws);
-    if (begin == std::string_view::npos)
-        return {};
-    const size_t end = text.find_last_not_of(ws);
-    return text.substr(begin, end - begin + 1);
+    const auto blank = [](char c) {
+        return c == ' ' || c == '\t' || c == '\r' || c == '\n';
+    };
+    while (!text.empty() && blank(text.front()))
+        text.remove_prefix(1);
+    while (!text.empty() && blank(text.back()))
+        text.remove_suffix(1);
+    return text;
 }
 
 bool
@@ -37,6 +39,15 @@ startsWith(std::string_view text, std::string_view prefix)
 {
     return text.size() >= prefix.size() &&
            text.substr(0, prefix.size()) == prefix;
+}
+
+void
+appendG6(std::string &out, double value)
+{
+    char buf[32];
+    const auto res = std::to_chars(buf, buf + sizeof(buf), value,
+                                   std::chars_format::general, 6);
+    out.append(buf, res.ptr);
 }
 
 std::string

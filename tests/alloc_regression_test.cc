@@ -1,6 +1,7 @@
 /**
  * @file
- * Allocation regression tests for the scheduling hot path.
+ * Allocation regression tests for the scheduling hot path and the
+ * .tir front end.
  *
  * The arena refactor's core claim (DESIGN.md §11): after a warm-up
  * compile has grown the per-thread arena, DDG construction plus list
@@ -19,13 +20,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <utility>
 #include <vector>
 
 #include "analysis/liveness.h"
+#include "ir/parser.h"
+#include "ir/printer.h"
 #include "region/formation.h"
 #include "sched/list_scheduler.h"
 #include "support/flightrec.h"
+#include "support/memstat.h"
 #include "support/metrics.h"
 #include "support/spans.h"
 #include "support/trace.h"
@@ -168,6 +173,102 @@ TEST(AllocRegression, ArenaMetricsReported)
     const uint64_t cap = metrics.counter("sched.arena.capacity_bytes");
     EXPECT_GT(high, 0u);
     EXPECT_GE(cap, high);
+}
+
+/** A generated, profiled module and its printed text. */
+struct PrintedWorkload
+{
+    std::unique_ptr<ir::Module> mod;
+    std::string text;
+};
+
+PrintedWorkload
+printedWorkload()
+{
+    workloads::GenParams p;
+    p.seed = 9;
+    p.top_units = 8;
+    p.mem_words = 1024;
+    PrintedWorkload w{workloads::generateProgram("x", p), {}};
+    workloads::profileFunction(w.mod->function("main"), p.mem_words);
+    w.text = ir::moduleToString(*w.mod);
+    return w;
+}
+
+/**
+ * The parser allocates the IR it returns and nothing per line or per
+ * token: one allocation per non-empty op vector, two per block (the
+ * block and its op vector) and its edge weights, plus a fixed
+ * overhead for the module, the function, the block table's growth
+ * and the parser's two reused token buffers.
+ */
+TEST(AllocRegression, ParserAllocatesOnlyTheIrItReturns)
+{
+    const PrintedWorkload w = printedWorkload();
+    std::string error;
+    std::unique_ptr<ir::Module> parsed;
+    uint64_t allocations;
+    {
+        tg_test::AllocGuard guard;
+        parsed = ir::parseModule(w.text, &error);
+        allocations = guard.allocations();
+    }
+    ASSERT_NE(parsed, nullptr) << error;
+
+    uint64_t kept = 0;
+    size_t ops = 0;
+    parsed->function("main").forEachBlock([&](const ir::BasicBlock &b) {
+        kept += 2 + !b.edgeWeights().empty();
+        for (const ir::Op &op : b.ops()) {
+            kept += !op.dsts.empty() + !op.srcs.empty() +
+                    !op.targets.empty() + !op.caseValues.empty();
+            ++ops;
+        }
+    });
+    ASSERT_GT(ops, 200u);
+    EXPECT_LE(allocations, kept + 48)
+        << ops << " ops; the IR needs " << kept << " allocations";
+}
+
+TEST(AllocRegression, PrinterAppendsWithoutAllocating)
+{
+    const PrintedWorkload w = printedWorkload();
+    std::string out;
+    out.reserve(2 * w.text.size());
+    uint64_t allocations;
+    {
+        tg_test::AllocGuard guard;
+        ir::appendModule(out, *w.mod);
+        allocations = guard.allocations();
+    }
+    EXPECT_EQ(out, w.text);
+    EXPECT_EQ(allocations, 0u);
+}
+
+/**
+ * A branch to a far block id used to create every block up to it
+ * before the parse failed (~2 GB and seconds for bb20000000); targets
+ * now resolve at the end of the function and reserve nothing.
+ */
+TEST(AllocRegression, FarBranchTargetsAreRejectedWithoutGrowth)
+{
+    for (const char *target : {"bb20000000", "bb4294967294"}) {
+        const std::string text =
+            std::string("module m mem=1024\nfunc @f entry=bb0 {\n"
+                        "  block bb0 weight=1 {\n    BRU ") +
+            target + "\n  }\n}\n";
+        const uint64_t start_bytes = support::memstatResetWindow();
+        const auto start = std::chrono::steady_clock::now();
+        std::string error;
+        EXPECT_EQ(ir::parseModule(text, &error), nullptr);
+        const auto elapsed = std::chrono::steady_clock::now() - start;
+        EXPECT_EQ(error, std::string("line 6: branch to undefined block ") +
+                             target);
+        EXPECT_LT(elapsed, std::chrono::milliseconds(50)) << target;
+        EXPECT_LT(support::memstatWindowPeakBytes() - start_bytes,
+                  uint64_t{16} << 20)
+            << target;
+    }
 }
 
 } // namespace

@@ -8,6 +8,7 @@
 
 #include "ir/builder.h"
 #include "ir/module.h"
+#include "ir/parser.h"
 #include "ir/verifier.h"
 
 namespace treegion::ir {
@@ -305,6 +306,404 @@ TEST(Module, FunctionsByName)
     EXPECT_FALSE(mod.hasFunction("c"));
     EXPECT_EQ(mod.function("b").name(), "b");
 }
+
+// ---------------------------------------------------------------
+// Every verifier message, pinned with the full problem list
+// ---------------------------------------------------------------
+
+/** A function under test plus the module that owns it. */
+struct VerifierInput
+{
+    std::unique_ptr<Module> mod;
+    Function *fn = nullptr;
+};
+
+/** Parse one function body (blocks only) under a generous header. */
+VerifierInput
+fromText(const std::string &blocks)
+{
+    VerifierInput in;
+    std::string error;
+    in.mod = parseModule("module m mem=1024\n"
+                         "func @f entry=bb0 gprs=8 preds=4 {\n" +
+                             blocks + "}\n",
+                         &error);
+    EXPECT_TRUE(in.mod) << error;
+    if (in.mod)
+        in.fn = in.mod->functions().front().get();
+    return in;
+}
+
+/** bb0: MOVI r0, then RET r0 — a starting point for manual edits. */
+VerifierInput
+straightLine()
+{
+    return fromText("  block bb0 weight=1 {\n    r0 = MOVI 1\n"
+                    "    RET r0\n  }\n");
+}
+
+/** One function and the exact problems it must produce. */
+struct VerifierCase
+{
+    const char *name;
+    VerifierInput (*build)();
+    VerifyLevel level;
+    std::vector<std::string> problems;
+};
+
+const VerifierCase kVerifierCases[] = {
+    {"MissingEntryBlock",
+     [] {
+         VerifierInput in;
+         in.mod = std::make_unique<Module>("m");
+         in.fn = &in.mod->createFunction("f");
+         in.fn->createBlock();
+         return in;
+     },
+     VerifyLevel::Structural, {"missing entry block"}},
+    {"NoTerminator",
+     [] {
+         return fromText("  block bb0 weight=1 {\n    r0 = MOVI 1\n"
+                         "  }\n");
+     },
+     VerifyLevel::Structural, {"bb0: no terminator"}},
+    {"BranchNotLast",
+     [] {
+         VerifierInput in = straightLine();
+         BasicBlock &b = in.fn->block(0);
+         Op ret = makeRet(Operand::makeImm(0));
+         ret.id = in.fn->freshOpId();
+         ret.home = 0;
+         b.ops().insert(b.ops().begin(), ret);
+         return in;
+     },
+     VerifyLevel::Structural,
+     {"bb0 op2 (RET 0): branch op must be the terminator"}},
+    {"HomeMismatch",
+     [] {
+         VerifierInput in = straightLine();
+         in.fn->block(0).ops()[0].home = 5;
+         return in;
+     },
+     VerifyLevel::Structural,
+     {"bb0 op0 (r0 = MOVI 1): op.home does not match its block"}},
+    {"DuplicateOpId",
+     [] {
+         VerifierInput in = straightLine();
+         in.fn->block(0).ops()[1].id = 0;
+         return in;
+     },
+     VerifyLevel::Structural, {"bb0 op0 (RET r0): duplicate op id"}},
+    {"FallthruTarget",
+     [] {
+         return fromText("  block bb0 weight=1 {\n    BRU fallthru\n"
+                         "  }\n");
+     },
+     VerifyLevel::Structural,
+     {"bb0: fallthru target outside a region schedule"}},
+    {"BranchToDeadBlock",
+     [] {
+         VerifierInput in = fromText("  block bb0 weight=1 {\n"
+                                     "    BRU bb1\n  }\n"
+                                     "  block bb1 weight=1 {\n"
+                                     "    RET 0\n  }\n");
+         in.fn->block(0).terminator().targets[0] = 77;
+         in.fn->invalidatePreds();
+         return in;
+     },
+     VerifyLevel::Structural,
+     {"bb0: branch to dead block bb77", "bb1 unreachable from entry"}},
+    {"EdgeWeightCount",
+     [] {
+         return fromText("  block bb0 weight=1 edges=[1,2] {\n"
+                         "    RET 0\n  }\n");
+     },
+     VerifyLevel::Structural,
+     {"bb0: edge weight count 2 != target count 0"}},
+    {"CmppWithoutDestination",
+     [] {
+         return fromText("  block bb0 weight=1 {\n    CMPP.LT r0, 1\n"
+                         "    RET 0\n  }\n");
+     },
+     VerifyLevel::Structural,
+     {"bb0 op0 (CMPP.LT r0, 1): CMPP needs 1 or 2 destinations"}},
+    {"CmppGprDestination",
+     [] {
+         return fromText("  block bb0 weight=1 {\n"
+                         "    r1 = CMPP.EQ r0, 1\n    RET 0\n  }\n");
+     },
+     VerifyLevel::Structural,
+     {"bb0 op0 (r1 = CMPP.EQ r0, 1): CMPP destination must be predicate"}},
+    {"PsetGprDestination",
+     [] {
+         return fromText("  block bb0 weight=1 {\n    r1 = PSET\n"
+                         "    RET 0\n  }\n");
+     },
+     VerifyLevel::Structural,
+     {"bb0 op0 (r1 = PSET): predicate-define needs one predicate "
+      "destination"}},
+    {"WrongDestinationCount",
+     [] {
+         return fromText("  block bb0 weight=1 {\n    MOVI 1\n"
+                         "    RET 0\n  }\n");
+     },
+     VerifyLevel::Structural,
+     {"bb0 op0 (MOVI 1): wrong destination count"}},
+    {"PbrGprDestination",
+     [] {
+         return fromText("  block bb0 weight=1 {\n    r1 = PBR bb0\n"
+                         "    RET 0\n  }\n");
+     },
+     VerifyLevel::Structural,
+     {"bb0 op0 (r1 = PBR bb0): PBR destination must be a BTR"}},
+    {"PredicateDestinationOnAlu",
+     [] {
+         return fromText("  block bb0 weight=1 {\n    p0 = MOVI 1\n"
+                         "    RET 0\n  }\n");
+     },
+     VerifyLevel::Structural,
+     {"bb0 op0 (p0 = MOVI 1): destination must be a GPR"}},
+    {"WrongSourceCount",
+     [] {
+         return fromText("  block bb0 weight=1 {\n    r0 = ADD r1\n"
+                         "    RET 0\n  }\n");
+     },
+     VerifyLevel::Structural,
+     {"bb0 op0 (r0 = ADD r1): wrong source count"}},
+    {"MoviFromRegister",
+     [] {
+         return fromText("  block bb0 weight=1 {\n    r0 = MOVI r1\n"
+                         "    RET 0\n  }\n");
+     },
+     VerifyLevel::Structural,
+     {"bb0 op0 (r0 = MOVI r1): MOVI source must be immediate"}},
+    {"PredicateMemoryBase",
+     [] {
+         return fromText("  block bb0 weight=1 {\n"
+                         "    r0 = LD [p0 + 1]\n    RET 0\n  }\n");
+     },
+     VerifyLevel::Structural,
+     {"bb0 op0 (r0 = LD [p0 + 1]): memory base must be a GPR"}},
+    {"RegisterMemoryOffset",
+     [] {
+         VerifierInput in = fromText("  block bb0 weight=1 {\n"
+                                     "    r0 = LD [r1 + 1]\n"
+                                     "    RET 0\n  }\n");
+         in.fn->block(0).ops()[0].srcs[1] = Operand::makeReg(gpr(2));
+         return in;
+     },
+     VerifyLevel::Structural,
+     {"bb0 op0 (r0 = LD [r1 + 0]): memory offset must be immediate"}},
+    {"GprBranchCondition",
+     [] {
+         return fromText("  block bb0 weight=1 {\n"
+                         "    BRCT r0, bb1, bb1\n  }\n"
+                         "  block bb1 weight=1 {\n    RET 0\n  }\n");
+     },
+     VerifyLevel::Structural,
+     {"bb0 op0 (BRCT r0, bb1, bb1): branch condition must be a "
+      "predicate"}},
+    {"GprGuard",
+     [] {
+         VerifierInput in = straightLine();
+         in.fn->block(0).ops()[0].guard = gpr(3);
+         return in;
+     },
+     VerifyLevel::Structural,
+     {"bb0 op0 (r0 = MOVI 1 ? r3): guard must be a predicate register"}},
+    {"BruWithTwoTargets",
+     [] {
+         return fromText("  block bb0 weight=1 {\n    BRU bb1, bb1\n"
+                         "  }\n  block bb1 weight=1 {\n    RET 0\n  }\n");
+     },
+     VerifyLevel::Structural,
+     {"bb0 op0 (BRU bb1, bb1): BRU needs exactly one target"}},
+    {"BrctWithoutTargets",
+     [] {
+         return fromText("  block bb0 weight=1 {\n    BRCT p0\n  }\n");
+     },
+     VerifyLevel::Structural,
+     {"bb0 op0 (BRCT p0): BRCT/BRCF need 1 or 2 targets"}},
+    {"MwbrWithoutTargets",
+     [] {
+         return fromText("  block bb0 weight=1 {\n    MWBR r0 []\n  }\n");
+     },
+     VerifyLevel::Structural,
+     {"bb0 op0 (MWBR r0 []): MWBR needs targets"}},
+    {"MwbrCaseCountMismatch",
+     [] {
+         VerifierInput in = fromText("  block bb0 weight=1 {\n"
+                                     "    MWBR r0 [0:bb1]\n  }\n"
+                                     "  block bb1 weight=1 {\n"
+                                     "    RET 0\n  }\n");
+         in.fn->block(0).terminator().caseValues.push_back(1);
+         return in;
+     },
+     VerifyLevel::Structural,
+     {"bb0 op0 (MWBR r0 [0:bb1]): MWBR case/target count mismatch"}},
+    {"RetWithTarget",
+     [] {
+         return fromText("  block bb0 weight=1 {\n    RET 0, bb0\n  }\n");
+     },
+     VerifyLevel::Structural,
+     {"bb0 op0 (RET 0, bb0): RET takes no targets"}},
+    {"PbrWithoutTarget",
+     [] {
+         VerifierInput in = straightLine();
+         in.fn->reserveRegs(0, 0, 1);
+         Op pbr = makePbr(btr(0), 0);
+         pbr.targets.clear();
+         in.fn->block(0).ops()[0] = pbr;
+         in.fn->block(0).ops()[0].home = 0;
+         return in;
+     },
+     VerifyLevel::Structural,
+     {"bb0 op0 (b0 = PBR): PBR needs exactly one target"}},
+    {"AluWithTarget",
+     [] {
+         return fromText("  block bb0 weight=1 {\n    r0 = MOVI 1, bb0\n"
+                         "    RET 0\n  }\n");
+     },
+     VerifyLevel::Structural,
+     {"bb0 op0 (r0 = MOVI 1, bb0): non-branch op with targets"}},
+    {"UnreachableBlock",
+     [] {
+         return fromText("  block bb0 weight=1 {\n    RET 0\n  }\n"
+                         "  block bb1 weight=1 {\n    RET 1\n  }\n");
+     },
+     VerifyLevel::Structural, {"bb1 unreachable from entry"}},
+    {"GuardInSequentialIr",
+     [] {
+         return fromText("  block bb0 weight=1 {\n"
+                         "    r0 = MOVI 1 ? p0\n    RET 0\n  }\n");
+     },
+     VerifyLevel::Schedulable,
+     {"bb0 op0: guards are a scheduler output, not an input",
+      "bb0 op0: predicate used by a non-branch op"}},
+    {"SchedulerOutputOpcode",
+     [] {
+         return fromText("  block bb0 weight=1 {\n    p0 = PSET\n"
+                         "    RET 0\n  }\n");
+     },
+     VerifyLevel::Schedulable, {"bb0 op0: PSET is a scheduler output"}},
+    {"TwoDestinationCmpp",
+     [] {
+         return fromText("  block bb0 weight=1 {\n"
+                         "    p0, p1 = CMPP.LT r0, 1\n    RET 0\n  }\n");
+     },
+     VerifyLevel::Schedulable,
+     {"bb0 op0: sequential CMPP must have one destination"}},
+    {"PredicateUsedByAlu",
+     [] {
+         return fromText("  block bb0 weight=1 {\n"
+                         "    r0 = ADD p0, 1\n    RET 0\n  }\n");
+     },
+     VerifyLevel::Schedulable,
+     {"bb0 op0: predicate used by a non-branch op"}},
+    {"ConditionalBranchWithoutFall",
+     [] {
+         return fromText("  block bb0 weight=1 {\n"
+                         "    p0 = CMPP.LT r0, 1\n    BRCT p0, bb1\n  }\n"
+                         "  block bb1 weight=1 {\n    RET 0\n  }\n");
+     },
+     VerifyLevel::Schedulable,
+     {"bb0: sequential conditional branch needs taken and fall "
+      "targets"}},
+    {"ConditionNotDefinedInBlock",
+     [] {
+         return fromText("  block bb0 weight=1 {\n"
+                         "    BRCF p2, bb1, bb1\n  }\n"
+                         "  block bb1 weight=1 {\n    RET 0\n  }\n");
+     },
+     VerifyLevel::Schedulable,
+     {"bb0: branch condition p2 not defined by a CMPP in the same "
+      "block"}},
+    {"SparseMwbrCases",
+     [] {
+         return fromText("  block bb0 weight=1 {\n"
+                         "    MWBR r0 [1:bb1, 0:bb1]\n  }\n"
+                         "  block bb1 weight=1 {\n    RET 0\n  }\n");
+     },
+     VerifyLevel::Schedulable,
+     {"bb0: sequential MWBR cases must be dense 0..n-1",
+      "bb0: sequential MWBR cases must be dense 0..n-1"}},
+
+    // Register ranges: the simulators size their register files from
+    // the declared counts, so an op past them must not reach them.
+    {"GprOutOfRange",
+     [] {
+         return fromText("  block bb0 weight=1 {\n    r8 = ADD r9, r1\n"
+                         "    RET 0\n  }\n");
+     },
+     VerifyLevel::Structural,
+     {"bb0 op0 (r8 = ADD r9, r1): register r8 out of range (8 declared)"}},
+    {"PredicateGuardOutOfRange",
+     [] {
+         return fromText("  block bb0 weight=1 {\n"
+                         "    r0 = MOVI 1 ? p4\n    RET 0\n  }\n");
+     },
+     VerifyLevel::Structural,
+     {"bb0 op0 (r0 = MOVI 1 ? p4): register p4 out of range "
+      "(4 declared)"}},
+    {"BtrOutOfRange",
+     [] {
+         return fromText("  block bb0 weight=1 {\n    b0 = PBR bb0\n"
+                         "    RET 0\n  }\n");
+     },
+     VerifyLevel::Structural,
+     {"bb0 op0 (b0 = PBR bb0): register b0 out of range (0 declared)"}},
+    {"RangeProblemsFollowTheOthers",
+     [] {
+         return fromText("  block bb0 weight=1 {\n    r9 = MOVI r1\n"
+                         "    RET 0\n  }\n");
+     },
+     VerifyLevel::Schedulable,
+     {"bb0 op0 (r9 = MOVI r1): MOVI source must be immediate",
+      "bb0 op0 (r9 = MOVI r1): register r9 out of range (8 declared)"}},
+
+    // Schedulable checks on blocks the structural pass already
+    // rejected: reported once, never a crash.
+    {"UnterminatedBlockAtSchedulableLevel",
+     [] {
+         return fromText("  block bb0 weight=1 {\n    r0 = MOVI 1\n"
+                         "  }\n");
+     },
+     VerifyLevel::Schedulable, {"bb0: no terminator"}},
+    {"ConditionalBranchWithoutCondition",
+     [] {
+         return fromText("  block bb0 weight=1 {\n    BRCT bb1, bb1\n"
+                         "  }\n  block bb1 weight=1 {\n    RET 0\n  }\n");
+     },
+     VerifyLevel::Schedulable,
+     {"bb0 op0 (BRCT bb1, bb1): wrong source count"}},
+    {"ShortLoadPrintsAsAList",
+     [] {
+         VerifierInput in = straightLine();
+         Op &op = in.fn->block(0).ops()[0];
+         op.opcode = Opcode::LD;
+         return in;
+     },
+     VerifyLevel::Structural,
+     {"bb0 op0 (r0 = LD 1): wrong source count"}},
+};
+
+class VerifierMessage : public ::testing::TestWithParam<VerifierCase>
+{
+};
+
+TEST_P(VerifierMessage, ExactProblems)
+{
+    const VerifierCase &c = GetParam();
+    VerifierInput in = c.build();
+    ASSERT_NE(in.fn, nullptr);
+    EXPECT_EQ(verifyFunction(*in.fn, c.level), c.problems);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Verifier, VerifierMessage, ::testing::ValuesIn(kVerifierCases),
+    [](const ::testing::TestParamInfo<VerifierCase> &info) {
+        return std::string(info.param.name);
+    });
 
 } // namespace
 } // namespace treegion::ir

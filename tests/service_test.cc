@@ -130,6 +130,21 @@ TEST(CacheKey, DependsOnFunctionAndConfig)
     EXPECT_EQ(base.str().size(), 32u);  // 128 bits in hex
 }
 
+TEST(CacheKey, ValuesArePinned)
+{
+    // Served cache entries and cluster routing depend on these exact
+    // values; a front-end rewrite must reproduce them bit for bit.
+    std::unique_ptr<ir::Module> mod;
+    const std::string canonical =
+        canonicalFunctionText(firstFunction(mod));
+    EXPECT_EQ(makeCacheKey(canonical, "scheme=tree width=4").str(),
+              "f1faf73f0363e70e152d20390567e339");
+    EXPECT_EQ(makeCacheKey(kModule, "scheme=tree width=4").str(),
+              "c2483f207b51f65d018fcee246f02f54");
+    EXPECT_EQ(makeCacheKey("", "").str(),
+              "789eb4398d40be81af63d24c8601db8e");
+}
+
 TEST(CacheKey, EveryPipelineOptionFieldChangesTheKey)
 {
     // One mutator per PipelineOptions field. If someone adds a field
@@ -575,6 +590,41 @@ TEST_F(ServiceEndToEnd, BadRequestsAreErrors)
     Request ping;
     ping.verb = "ping";
     EXPECT_EQ(callOnce(ping).status, status::kOk);
+}
+
+TEST_F(ServiceEndToEnd, ModulesThatWouldAbortProfilingAreErrors)
+{
+    startServer({});
+
+    // Parses and passed the IR verifier before, then failed a register
+    // file assertion in the profiler and took the whole server down.
+    Request past_gprs = compileRequest();
+    past_gprs.module_text = "module m mem=1024\n"
+                            "func @f entry=bb0 gprs=1 preds=0 {\n"
+                            "  block bb0 weight=1 {\n"
+                            "    r7 = MOVI 1\n"
+                            "    RET r7\n"
+                            "  }\n"
+                            "}\n";
+    const Response regs = callOnce(past_gprs);
+    EXPECT_EQ(regs.status, status::kError);
+    EXPECT_NE(regs.error.find("register r7 out of range"),
+              std::string::npos)
+        << regs.error;
+
+    // Profiling memory images need words beyond the reserved ones.
+    Request small_mem = compileRequest();
+    small_mem.module_text = kModule;
+    replaceAll(small_mem.module_text, "mem=1024", "mem=64");
+    const Response mem = callOnce(small_mem);
+    EXPECT_EQ(mem.status, status::kError);
+    EXPECT_NE(mem.error.find("mem=64 is too small"), std::string::npos)
+        << mem.error;
+
+    // The server is still up and compiles normally.
+    const Response ok = callOnce(compileRequest());
+    ASSERT_EQ(ok.status, status::kOk) << ok.error;
+    EXPECT_NE(ok.body.find("verify: ok"), std::string::npos);
 }
 
 TEST_F(ServiceEndToEnd, DeadlineExpiredInQueueIsCancelled)

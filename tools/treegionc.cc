@@ -534,6 +534,16 @@ main(int argc, char **argv)
         std::fprintf(stderr, "parse error: %s\n", error.c_str());
         return 1;
     }
+    // Profiling and --run input images keep kReservedWords for
+    // counters and need data words beyond them.
+    if ((cli.do_profile || cli.run) &&
+        mod->memWords() <= workloads::kReservedWords) {
+        std::fprintf(stderr,
+                     "module mem=%zu is too small to profile or run "
+                     "(needs more than %zu words)\n",
+                     mod->memWords(), workloads::kReservedWords);
+        return 1;
+    }
 
     // ---- Select, verify and profile the functions to compile.
     std::vector<ir::Function *> fns;
