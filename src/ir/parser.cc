@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <charconv>
 #include <optional>
 #include <vector>
 
@@ -12,19 +11,10 @@ namespace treegion::ir {
 
 namespace {
 
+using support::parseNumber;
 using support::startsWith;
 using support::strprintf;
 using support::trim;
-
-/** @return true when all of @p text (non-empty) parses into @p out. */
-template <typename T>
-bool
-parseNumber(std::string_view text, T &out)
-{
-    const char *end = text.data() + text.size();
-    const auto res = std::from_chars(text.data(), end, out);
-    return !text.empty() && res.ec == std::errc() && res.ptr == end;
-}
 
 /** Parse a register name like r3 / p1 / b2. */
 std::optional<Reg>

@@ -5,8 +5,8 @@
 #include <utility>
 
 #include "support/arena.h"
+#include "support/spans.h"
 #include "support/string_utils.h"
-#include "support/trace.h"
 
 namespace treegion::sched {
 
@@ -333,7 +333,7 @@ verifySchedule(const RegionSchedule &sched, int issue_width)
 std::vector<std::string>
 verifyFunctionSchedule(const FunctionSchedule &sched, int issue_width)
 {
-    support::TraceScope span("verify");
+    support::SpanScope span("verify", support::SpanScope::Root::IfEnabled);
     std::vector<std::string> problems;
     for (const auto &[root, rs] : sched.regions) {
         for (std::string &p : verifySchedule(rs, issue_width)) {

@@ -13,7 +13,6 @@
 
 #include "support/spans.h"
 #include "support/string_utils.h"
-#include "support/trace.h"
 
 namespace treegion::service {
 
@@ -185,26 +184,12 @@ Client::syncClock(std::string *error)
     s.parent = 0;
     s.name = "clock-sync";
     s.service = collector.service();
-    s.tid = support::TraceCollector::currentThreadId();
+    s.tid = support::currentThreadId();
     s.start_us = t0;
     s.dur_us = t1 - t0;
-    auto strArg = [](const char *key, std::string value) {
-        support::SpanArg a;
-        a.key = key;
-        a.type = support::SpanArg::Type::Str;
-        a.s = std::move(value);
-        return a;
-    };
-    auto intArg = [](const char *key, int64_t value) {
-        support::SpanArg a;
-        a.key = key;
-        a.type = support::SpanArg::Type::Int;
-        a.i = value;
-        return a;
-    };
-    s.args.push_back(strArg("member", address_));
-    s.args.push_back(intArg("offset_us", offset));
-    s.args.push_back(intArg("rtt_us", t1 - t0));
+    s.args.push_back(support::JsonArg::ofStr("member", address_));
+    s.args.push_back(support::JsonArg::ofInt("offset_us", offset));
+    s.args.push_back(support::JsonArg::ofInt("rtt_us", t1 - t0));
     collector.record(std::move(s));
     return true;
 }

@@ -23,12 +23,12 @@
 #include "sched/pipeline.h"
 #include "sched/schedule_verifier.h"
 #include "support/build_info.h"
+#include "support/chrome_trace.h"
 #include "support/flightrec.h"
 #include "support/logging.h"
 #include "support/remarks.h"
 #include "support/spans.h"
 #include "support/string_utils.h"
-#include "support/trace.h"
 #include "workloads/profiler.h"
 
 namespace treegion::service {
@@ -321,9 +321,7 @@ Server::start(std::string *error)
         !watch(wake_pipe_[0], kWakeTag))
         return fail("epoll_ctl(pipe)");
 
-    if (!options_.trace_path.empty())
-        support::TraceCollector::instance().setEnabled(true);
-    if (!options_.span_path.empty())
+    if (!options_.trace_path.empty() || !options_.span_path.empty())
         support::SpanCollector::instance().configure(
             options_.span_sample);
     if (!options_.flightrec_path.empty())
@@ -880,9 +878,10 @@ Server::submitCompile(Conn &conn, uint64_t seq, int64_t enqueue_ms,
 
         // Join the caller's trace when the request carried one;
         // otherwise root a fresh server-local trace (sampled per
-        // span_sample). Everything below — the pipeline stages'
-        // TraceScopes, cache lookups, fill sends — nests under this
-        // span through the ambient context.
+        // span_sample). Everything below — the pipeline stage spans,
+        // cache lookups, fill sends — nests under this span through
+        // the ambient context; an unsampled root keeps all of it
+        // inert.
         const support::SpanContextScope ctx_scope(
             incomingTraceContext(req, span_service_));
         support::SpanScope root("request",
@@ -1081,11 +1080,10 @@ Server::flushWrites(Conn &conn)
 Response
 Server::compileNow(const Request &req)
 {
-    // Dual-emitting scope: a "compile" event in the process-local
-    // Chrome trace and, when the request's trace is sampled, a
-    // "compile" span under the "request" root (the pipeline stages'
-    // own TraceScopes nest below it the same way).
-    support::TraceScope span("compile", "service");
+    // A "compile" span under the "request" root when the request's
+    // trace is sampled (the pipeline stage spans nest below it).
+    support::SpanScope span("compile",
+                            support::SpanScope::Root::IfEnabled);
 
     // Warm fast path: byte-identical resubmissions (the steady state
     // of a farm recompiling an unchanged tree) skip parse + verify +
@@ -1415,23 +1413,21 @@ Server::flushTelemetry()
                     options_.metrics_path.c_str());
         }
     }
-    if (!options_.trace_path.empty()) {
-        auto &collector = support::TraceCollector::instance();
-        if (!collector.writeChromeTraceFile(options_.trace_path))
-            TG_INFO("cannot write trace to %s\n",
-                    options_.trace_path.c_str());
-        collector.clear();
-    }
-    if (!options_.span_path.empty()) {
-        auto &spans = support::SpanCollector::instance();
-        if (spans.dropped() > 0)
-            TG_INFO("span buffer overflowed: %llu spans dropped\n",
-                    static_cast<unsigned long long>(
-                        spans.dropped()));
-        if (!spans.writeJsonl(options_.span_path))
-            TG_INFO("cannot write spans to %s\n",
-                    options_.span_path.c_str());
-    }
+    auto &spans = support::SpanCollector::instance();
+    if (spans.dropped() > 0)
+        TG_INFO("span buffer overflowed: %llu spans dropped\n",
+                static_cast<unsigned long long>(spans.dropped()));
+    // The Chrome export reads the buffer before the JSONL write
+    // drains it, so both files see every span.
+    if (!options_.trace_path.empty() &&
+        !support::writeChromeTraceFile(options_.trace_path,
+                                       spans.snapshot()))
+        TG_INFO("cannot write trace to %s\n",
+                options_.trace_path.c_str());
+    if (!options_.span_path.empty() &&
+        !spans.writeJsonl(options_.span_path))
+        TG_INFO("cannot write spans to %s\n",
+                options_.span_path.c_str());
     if (!options_.flightrec_path.empty()) {
         // The same artifact a crash would leave: on a clean drain
         // the ring dumps to the configured path (once — a panic or

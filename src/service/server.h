@@ -121,7 +121,9 @@ struct ServerOptions
     /** Write the metrics JSON here on drain; empty = don't. */
     std::string metrics_path;
 
-    /** Write a Chrome trace here on drain; empty = tracing off. */
+    /** Write the recorded spans here as a Chrome trace on drain
+     * (support/chrome_trace.h); turns span collection on at
+     * span_sample. Empty = no Chrome trace. */
     std::string trace_path;
 
     /**

@@ -7,7 +7,7 @@
  * the performance estimate.
  *
  * Remarks are the audit trail the aggregate traces and counters
- * cannot give: a TraceScope says formation took 40 us, a remark says
+ * cannot give: a stage span says formation took 40 us, a remark says
  * growth stopped at bb7 because it is a merge point. Every bench
  * deviation becomes a grep instead of a debugger session, and two
  * runs (heuristic A vs B, -j1 vs -j8) can be diffed decision by
@@ -39,6 +39,8 @@
 #include <string>
 #include <type_traits>
 #include <vector>
+
+#include "support/json.h"
 
 namespace treegion::support {
 
@@ -90,20 +92,6 @@ const char *remarkPassName(RemarkKind kind);
 /** Parse a remarkKindName() token. @return false on error. */
 bool parseRemarkKind(const std::string &name, RemarkKind &out);
 
-/** One named argument of a remark (ordered; order is schema). */
-struct RemarkArg
-{
-    enum class Type { Int, Float, Str };
-
-    std::string key;
-    Type type = Type::Int;
-    int64_t i = 0;
-    double f = 0.0;
-    std::string s;
-
-    bool operator==(const RemarkArg &other) const = default;
-};
-
 /** One structured decision record. */
 struct Remark
 {
@@ -111,15 +99,15 @@ struct Remark
     std::string function;   ///< function the decision concerns
     int64_t block = -1;     ///< block id the decision anchors to, -1 none
     int64_t op = -1;        ///< op id the decision anchors to, -1 none
-    std::vector<RemarkArg> args;
+    std::vector<JsonArg> args;
 
     bool operator==(const Remark &other) const = default;
 
     /**
      * Serialize as one JSON object (no trailing newline), stable key
      * order: pass, kind, fn, then block/op when present, then args in
-     * emission order. Floats use %.17g so the line round-trips
-     * bit-exactly through parseRemarkJson.
+     * emission order. Floats use jsonFloatText so the line
+     * round-trips bit-exactly through parseRemarkJson.
      */
     std::string toJson() const;
 };
@@ -128,8 +116,9 @@ struct Remark
  * Parse one JSON line produced by Remark::toJson back into a Remark,
  * enforcing the schema: known "kind", "pass" matching the kind's
  * pass, "fn" present, "block"/"op" integers, "args" an object of
- * int/float/string values, no unknown top-level keys, nothing after
- * the closing brace. @return false and set @p error on any violation.
+ * int/float/string values, no unknown or repeated top-level keys,
+ * nothing after the closing brace. @return false and set @p error on
+ * any violation.
  */
 bool parseRemarkJson(const std::string &line, Remark &out,
                      std::string *error = nullptr);
@@ -259,13 +248,9 @@ class RemarkBuilder
     RemarkBuilder &
     arg(const char *key, T value)
     {
-        if (stream_) {
-            RemarkArg a;
-            a.key = key;
-            a.type = RemarkArg::Type::Int;
-            a.i = static_cast<int64_t>(value);
-            remark_.args.push_back(std::move(a));
-        }
+        if (stream_)
+            remark_.args.push_back(
+                JsonArg::ofInt(key, static_cast<int64_t>(value)));
         return *this;
     }
 
@@ -273,13 +258,8 @@ class RemarkBuilder
     RemarkBuilder &
     arg(const char *key, double value)
     {
-        if (stream_) {
-            RemarkArg a;
-            a.key = key;
-            a.type = RemarkArg::Type::Float;
-            a.f = value;
-            remark_.args.push_back(std::move(a));
-        }
+        if (stream_)
+            remark_.args.push_back(JsonArg::ofFloat(key, value));
         return *this;
     }
 
@@ -287,13 +267,8 @@ class RemarkBuilder
     RemarkBuilder &
     arg(const char *key, std::string value)
     {
-        if (stream_) {
-            RemarkArg a;
-            a.key = key;
-            a.type = RemarkArg::Type::Str;
-            a.s = std::move(value);
-            remark_.args.push_back(std::move(a));
-        }
+        if (stream_)
+            remark_.args.push_back(JsonArg::ofStr(key, std::move(value)));
         return *this;
     }
 

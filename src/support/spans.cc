@@ -1,17 +1,12 @@
 #include "support/spans.h"
 
-#include <cctype>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <random>
-#include <sstream>
 
 #include <time.h>
 
 #include "support/string_utils.h"
-#include "support/trace.h" // jsonEscape, currentThreadId
 
 namespace treegion::support {
 
@@ -22,6 +17,15 @@ epochUs()
     clock_gettime(CLOCK_REALTIME, &ts);
     return static_cast<int64_t>(ts.tv_sec) * 1000000 +
            ts.tv_nsec / 1000;
+}
+
+uint32_t
+currentThreadId()
+{
+    static std::atomic<uint32_t> next{0};
+    thread_local const uint32_t id =
+        next.fetch_add(1, std::memory_order_relaxed);
+    return id;
 }
 
 namespace {
@@ -43,8 +47,7 @@ idState()
         uint64_t seed = (static_cast<uint64_t>(rd()) << 32) ^ rd();
         seed ^= static_cast<uint64_t>(
             std::chrono::steady_clock::now().time_since_epoch().count());
-        seed ^= static_cast<uint64_t>(TraceCollector::currentThreadId())
-                << 48;
+        seed ^= static_cast<uint64_t>(currentThreadId()) << 48;
         return seed;
     }();
     return state;
@@ -83,18 +86,6 @@ parseHex64(const char *p, uint64_t *out)
     }
     *out = v;
     return true;
-}
-
-/** floatText twin of remarks.cc: %.17g, integral values keep their
- * Float type through a reparse via a trailing ".0". */
-std::string
-floatText(double value)
-{
-    std::string text = strprintf("%.17g", value);
-    if (text.find_first_of(".eE") == std::string::npos &&
-        text.find_first_not_of("-0123456789") == std::string::npos)
-        text += ".0";
-    return text;
 }
 
 } // namespace
@@ -166,345 +157,88 @@ SpanContextScope::~SpanContextScope()
 std::string
 TraceSpan::toJson() const
 {
-    std::ostringstream os;
-    os << "{\"trace\":\"" << traceIdHex(trace_hi, trace_lo)
-       << "\",\"span\":\"" << spanIdHex(span) << "\",\"parent\":\""
-       << (parent ? spanIdHex(parent) : std::string())
-       << "\",\"name\":\"" << jsonEscape(name) << "\",\"svc\":\""
-       << jsonEscape(service) << "\",\"tid\":" << tid
-       << ",\"start_us\":" << start_us << ",\"dur_us\":" << dur_us
-       << ",\"args\":{";
-    bool first = true;
-    for (const SpanArg &a : args) {
-        os << (first ? "" : ",") << '"' << jsonEscape(a.key) << "\":";
-        switch (a.type) {
-          case SpanArg::Type::Int:
-            os << a.i;
-            break;
-          case SpanArg::Type::Float:
-            os << floatText(a.f);
-            break;
-          case SpanArg::Type::Str:
-            os << '"' << jsonEscape(a.s) << '"';
-            break;
-        }
-        first = false;
-    }
-    os << "}}";
-    return os.str();
+    std::string out = "{\"trace\":\"" + traceIdHex(trace_hi, trace_lo) +
+                      "\",\"span\":\"" + spanIdHex(span) +
+                      "\",\"parent\":\"" +
+                      (parent ? spanIdHex(parent) : std::string()) +
+                      "\",\"name\":\"";
+    appendJsonEscaped(out, name);
+    out += "\",\"svc\":\"";
+    appendJsonEscaped(out, service);
+    out += "\",\"tid\":";
+    appendInt(out, tid);
+    out += ",\"start_us\":";
+    appendInt(out, start_us);
+    out += ",\"dur_us\":";
+    appendInt(out, dur_us);
+    out += ",\"args\":{";
+    appendJsonArgs(out, args);
+    out += "}}";
+    return out;
 }
-
-namespace {
-
-/**
- * Strict recursive-descent parser for the span schema — the exact
- * subset TraceSpan::toJson emits, in the same spirit as remarks.cc's
- * RemarkParser: unknown fields, duplicated fields, missing fields,
- * non-scalar args and trailing bytes are all hard errors.
- */
-class SpanParser
-{
-  public:
-    SpanParser(const std::string &text, std::string *error)
-        : text_(text), error_(error)
-    {
-    }
-
-    bool
-    run(TraceSpan &out)
-    {
-        skipWs();
-        if (!expect('{'))
-            return false;
-        bool seen[8] = {false, false, false, false,
-                        false, false, false, false};
-        static const char *const kFields[8] = {
-            "trace", "span", "parent", "name",
-            "svc",   "tid",  "start_us", "dur_us"};
-        bool have_args = false;
-        bool first = true;
-        for (;;) {
-            skipWs();
-            if (peek() == '}') {
-                ++pos_;
-                break;
-            }
-            if (!first && !expect(','))
-                return false;
-            first = false;
-            skipWs();
-            std::string key;
-            if (!parseString(key))
-                return false;
-            skipWs();
-            if (!expect(':'))
-                return false;
-            skipWs();
-            int field = -1;
-            for (int k = 0; k < 8; ++k) {
-                if (key == kFields[k]) {
-                    field = k;
-                    break;
-                }
-            }
-            if (field >= 0) {
-                if (seen[field])
-                    return fail("duplicate field '" + key + "'");
-                seen[field] = true;
-            }
-            if (key == "trace") {
-                std::string hex;
-                if (!parseString(hex))
-                    return false;
-                if (!parseTraceIdHex(hex, &out.trace_hi,
-                                     &out.trace_lo))
-                    return fail("'trace' must be 32 hex digits");
-                if ((out.trace_hi | out.trace_lo) == 0)
-                    return fail("'trace' must be non-zero");
-            } else if (key == "span") {
-                std::string hex;
-                if (!parseString(hex))
-                    return false;
-                if (!parseSpanIdHex(hex, &out.span))
-                    return fail("'span' must be 16 hex digits");
-                if (out.span == 0)
-                    return fail("'span' must be non-zero");
-            } else if (key == "parent") {
-                std::string hex;
-                if (!parseString(hex))
-                    return false;
-                if (hex.empty())
-                    out.parent = 0;
-                else if (!parseSpanIdHex(hex, &out.parent))
-                    return fail(
-                        "'parent' must be 16 hex digits or \"\"");
-            } else if (key == "name") {
-                if (!parseString(out.name))
-                    return false;
-            } else if (key == "svc") {
-                if (!parseString(out.service))
-                    return false;
-            } else if (key == "tid" || key == "start_us" ||
-                       key == "dur_us") {
-                SpanArg num;
-                if (!parseNumber(num))
-                    return false;
-                if (num.type != SpanArg::Type::Int)
-                    return fail("'" + key + "' must be an integer");
-                if (key == "tid") {
-                    if (num.i < 0)
-                        return fail("'tid' must be non-negative");
-                    out.tid = static_cast<uint32_t>(num.i);
-                } else if (key == "start_us") {
-                    out.start_us = num.i;
-                } else {
-                    out.dur_us = num.i;
-                }
-            } else if (key == "args") {
-                if (have_args)
-                    return fail("duplicate field 'args'");
-                have_args = true;
-                if (!parseArgs(out.args))
-                    return false;
-            } else {
-                return fail("unknown field '" + key + "'");
-            }
-        }
-        skipWs();
-        if (pos_ != text_.size())
-            return fail("trailing characters after the span object");
-        for (int k = 0; k < 8; ++k) {
-            if (!seen[k])
-                return fail(std::string("missing required field '") +
-                            kFields[k] + "'");
-        }
-        if (!have_args)
-            return fail("missing required field 'args'");
-        return true;
-    }
-
-  private:
-    char
-    peek() const
-    {
-        return pos_ < text_.size() ? text_[pos_] : '\0';
-    }
-
-    void
-    skipWs()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-    }
-
-    bool
-    fail(const std::string &why)
-    {
-        if (error_)
-            *error_ = why;
-        return false;
-    }
-
-    bool
-    expect(char c)
-    {
-        if (peek() != c)
-            return fail(strprintf("expected '%c' at offset %zu", c,
-                                  pos_));
-        ++pos_;
-        return true;
-    }
-
-    bool
-    parseString(std::string &out)
-    {
-        if (!expect('"'))
-            return false;
-        out.clear();
-        while (pos_ < text_.size()) {
-            const char c = text_[pos_++];
-            if (c == '"')
-                return true;
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
-            if (pos_ >= text_.size())
-                return fail("unterminated escape");
-            const char esc = text_[pos_++];
-            switch (esc) {
-              case '"': out += '"'; break;
-              case '\\': out += '\\'; break;
-              case '/': out += '/'; break;
-              case 'b': out += '\b'; break;
-              case 'f': out += '\f'; break;
-              case 'n': out += '\n'; break;
-              case 'r': out += '\r'; break;
-              case 't': out += '\t'; break;
-              case 'u': {
-                if (pos_ + 4 > text_.size())
-                    return fail("truncated \\u escape");
-                unsigned code = 0;
-                for (int k = 0; k < 4; ++k) {
-                    const char h = text_[pos_++];
-                    code <<= 4;
-                    if (h >= '0' && h <= '9')
-                        code |= static_cast<unsigned>(h - '0');
-                    else if (h >= 'a' && h <= 'f')
-                        code |= static_cast<unsigned>(h - 'a' + 10);
-                    else if (h >= 'A' && h <= 'F')
-                        code |= static_cast<unsigned>(h - 'A' + 10);
-                    else
-                        return fail("bad \\u escape digit");
-                }
-                if (code < 0x80) {
-                    out += static_cast<char>(code);
-                } else if (code < 0x800) {
-                    out += static_cast<char>(0xc0 | (code >> 6));
-                    out += static_cast<char>(0x80 | (code & 0x3f));
-                } else {
-                    out += static_cast<char>(0xe0 | (code >> 12));
-                    out += static_cast<char>(0x80 |
-                                             ((code >> 6) & 0x3f));
-                    out += static_cast<char>(0x80 | (code & 0x3f));
-                }
-                break;
-              }
-              default:
-                return fail(strprintf("bad escape '\\%c'", esc));
-            }
-        }
-        return fail("unterminated string");
-    }
-
-    bool
-    parseNumber(SpanArg &out)
-    {
-        const size_t start = pos_;
-        if (peek() == '-')
-            ++pos_;
-        bool is_float = false;
-        while (pos_ < text_.size()) {
-            const char c = text_[pos_];
-            if (std::isdigit(static_cast<unsigned char>(c))) {
-                ++pos_;
-            } else if (c == '.' || c == 'e' || c == 'E' || c == '+' ||
-                       c == '-') {
-                is_float = true;
-                ++pos_;
-            } else {
-                break;
-            }
-        }
-        if (pos_ == start)
-            return fail("expected a number");
-        const std::string token = text_.substr(start, pos_ - start);
-        errno = 0;
-        char *end = nullptr;
-        if (is_float) {
-            out.type = SpanArg::Type::Float;
-            out.f = std::strtod(token.c_str(), &end);
-        } else {
-            out.type = SpanArg::Type::Int;
-            out.i = std::strtoll(token.c_str(), &end, 10);
-        }
-        if (errno == ERANGE || end == nullptr || *end != '\0')
-            return fail("bad number '" + token + "'");
-        return true;
-    }
-
-    bool
-    parseArgs(std::vector<SpanArg> &out)
-    {
-        if (!expect('{'))
-            return false;
-        out.clear();
-        bool first = true;
-        for (;;) {
-            skipWs();
-            if (peek() == '}') {
-                ++pos_;
-                return true;
-            }
-            if (!first && !expect(','))
-                return false;
-            first = false;
-            skipWs();
-            SpanArg a;
-            if (!parseString(a.key))
-                return false;
-            skipWs();
-            if (!expect(':'))
-                return false;
-            skipWs();
-            if (peek() == '"') {
-                a.type = SpanArg::Type::Str;
-                if (!parseString(a.s))
-                    return false;
-            } else if (peek() == '{' || peek() == '[') {
-                return fail("argument '" + a.key +
-                            "' must be a scalar");
-            } else {
-                if (!parseNumber(a))
-                    return false;
-            }
-            out.push_back(std::move(a));
-        }
-    }
-
-    const std::string &text_;
-    std::string *error_;
-    size_t pos_ = 0;
-};
-
-} // namespace
 
 bool
 parseSpanJson(const std::string &line, TraceSpan &out, std::string *error)
 {
+    static const char *const kFields[] = {
+        "trace", "span",     "parent", "name", "svc",
+        "tid",   "start_us", "dur_us", "args"};
     out = TraceSpan{};
-    return SpanParser(line, error).run(out);
+    FlatJsonReader in(line, "span", error);
+    const auto member = [&](const std::string &key) {
+        std::string hex;
+        if (key == "trace") {
+            if (!in.string(hex))
+                return false;
+            if (!parseTraceIdHex(hex, &out.trace_hi, &out.trace_lo))
+                return in.fail("'trace' must be 32 hex digits");
+            if ((out.trace_hi | out.trace_lo) == 0)
+                return in.fail("'trace' must be non-zero");
+        } else if (key == "span") {
+            if (!in.string(hex))
+                return false;
+            if (!parseSpanIdHex(hex, &out.span))
+                return in.fail("'span' must be 16 hex digits");
+            if (out.span == 0)
+                return in.fail("'span' must be non-zero");
+        } else if (key == "parent") {
+            if (!in.string(hex))
+                return false;
+            if (!hex.empty() && !parseSpanIdHex(hex, &out.parent))
+                return in.fail("'parent' must be 16 hex digits or \"\"");
+        } else if (key == "name") {
+            return in.string(out.name);
+        } else if (key == "svc") {
+            return in.string(out.service);
+        } else if (key == "tid" || key == "start_us" ||
+                   key == "dur_us") {
+            JsonArg num;
+            if (!in.number(num))
+                return false;
+            if (num.type != JsonArg::Type::Int)
+                return in.fail("'" + key + "' must be an integer");
+            if (key == "tid") {
+                if (num.i < 0)
+                    return in.fail("'tid' must be non-negative");
+                out.tid = static_cast<uint32_t>(num.i);
+            } else {
+                (key == "start_us" ? out.start_us : out.dur_us) = num.i;
+            }
+        } else if (key == "args") {
+            return in.args(out.args);
+        } else {
+            return in.fail("unknown field '" + key + "'");
+        }
+        return true;
+    };
+    if (!in.readObject(member))
+        return false;
+    for (const char *field : kFields) {
+        if (!in.seen(field))
+            return in.fail(std::string("missing required field '") +
+                           field + "'");
+    }
+    return true;
 }
 
 // ---- collector -----------------------------------------------------
@@ -652,6 +386,32 @@ SpanCollector::clear()
 
 // ---- scopes --------------------------------------------------------
 
+namespace {
+
+/** Record [@p start_us, @p end_us] as span @p span of @p ctx's trace
+ * under @p parent. */
+void
+recordSpan(const SpanContext &ctx, uint64_t span, uint64_t parent,
+           const char *name, int64_t start_us, int64_t end_us,
+           std::vector<JsonArg> args)
+{
+    SpanCollector &collector = SpanCollector::instance();
+    TraceSpan s;
+    s.trace_hi = ctx.trace_hi;
+    s.trace_lo = ctx.trace_lo;
+    s.span = span;
+    s.parent = parent;
+    s.name = name;
+    s.service = ctx.service ? ctx.service : collector.service();
+    s.tid = currentThreadId();
+    s.start_us = start_us;
+    s.dur_us = end_us > start_us ? end_us - start_us : 0;
+    s.args = std::move(args);
+    collector.record(std::move(s));
+}
+
+} // namespace
+
 SpanScope::SpanScope(const char *name, Root root,
                      const char *service)
     : name_(name)
@@ -669,18 +429,21 @@ SpanScope::SpanScope(const char *name, Root root,
         ctx_.trace_hi = mintSpanId();
         ctx_.trace_lo = mintSpanId();
         ctx_.sampled = collector.sampleNewTrace();
-        if (!ctx_.sampled)
-            return;
         parent_ = 0;
     }
     if (service)
         ctx_.service = service;
     ctx_.span = mintSpanId();
-    live_ = true;
-    start_us_ = epochUs();
+    // Installed even when the root lost its sampling roll: nested
+    // scopes then see an unsampled ambient and stay inert instead of
+    // rolling (and minting traces) of their own.
     saved_ = t_ambient;
     t_ambient = ctx_;
     installed_ = true;
+    if (!ctx_.sampled)
+        return;
+    live_ = true;
+    start_us_ = epochUs();
 }
 
 SpanScope::~SpanScope()
@@ -696,88 +459,43 @@ SpanScope::finish()
     if (!live_)
         return;
     live_ = false;
-    SpanCollector &collector = SpanCollector::instance();
-    TraceSpan s;
-    s.trace_hi = ctx_.trace_hi;
-    s.trace_lo = ctx_.trace_lo;
-    s.span = ctx_.span;
-    s.parent = parent_;
-    s.name = name_;
-    s.service = ctx_.service ? ctx_.service : collector.service();
-    s.tid = TraceCollector::currentThreadId();
-    s.start_us = start_us_;
-    s.dur_us = epochUs() - start_us_;
-    s.args = std::move(args_);
-    collector.record(std::move(s));
+    recordSpan(ctx_, ctx_.span, parent_, name_, start_us_, epochUs(),
+               std::move(args_));
 }
 
 SpanScope &
-SpanScope::arg(const char *key, std::string value)
+SpanScope::arg(const char *key, std::string_view value)
 {
-    if (live_) {
-        SpanArg a;
-        a.key = key;
-        a.type = SpanArg::Type::Str;
-        a.s = std::move(value);
-        args_.push_back(std::move(a));
-    }
+    if (live_)
+        args_.push_back(JsonArg::ofStr(key, std::string(value)));
     return *this;
-}
-
-SpanScope &
-SpanScope::arg(const char *key, const char *value)
-{
-    return arg(key, std::string(value));
 }
 
 SpanScope &
 SpanScope::arg(const char *key, int64_t value)
 {
-    if (live_) {
-        SpanArg a;
-        a.key = key;
-        a.type = SpanArg::Type::Int;
-        a.i = value;
-        args_.push_back(std::move(a));
-    }
+    if (live_)
+        args_.push_back(JsonArg::ofInt(key, value));
     return *this;
 }
 
 SpanScope &
 SpanScope::arg(const char *key, double value)
 {
-    if (live_) {
-        SpanArg a;
-        a.key = key;
-        a.type = SpanArg::Type::Float;
-        a.f = value;
-        args_.push_back(std::move(a));
-    }
+    if (live_)
+        args_.push_back(JsonArg::ofFloat(key, value));
     return *this;
 }
 
 void
 noteSpan(const SpanContext &parent, const char *name,
-         int64_t start_us, int64_t end_us, std::vector<SpanArg> args)
+         int64_t start_us, int64_t end_us, std::vector<JsonArg> args)
 {
-    if (!parent.valid() || !parent.sampled)
+    if (!parent.valid() || !parent.sampled ||
+        !SpanCollector::instance().enabled())
         return;
-    SpanCollector &collector = SpanCollector::instance();
-    if (!collector.enabled())
-        return;
-    TraceSpan s;
-    s.trace_hi = parent.trace_hi;
-    s.trace_lo = parent.trace_lo;
-    s.span = mintSpanId();
-    s.parent = parent.span;
-    s.name = name;
-    s.service =
-        parent.service ? parent.service : collector.service();
-    s.tid = TraceCollector::currentThreadId();
-    s.start_us = start_us;
-    s.dur_us = end_us > start_us ? end_us - start_us : 0;
-    s.args = std::move(args);
-    collector.record(std::move(s));
+    recordSpan(parent, mintSpanId(), parent.span, name, start_us,
+               end_us, std::move(args));
 }
 
 } // namespace treegion::support

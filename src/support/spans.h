@@ -5,32 +5,37 @@
  * per request, and a process-wide collector that serializes them as
  * schema-stable JSONL (`treegion-span/v1`).
  *
- * Where support/trace.h answers "how long did stage X take in this
- * process", a span answers "where did *this request* spend its time
- * across the whole farm": the client mints a trace id, forwards it as
+ * Spans are the one telemetry event model: a span answers both "how
+ * long did stage X take in this process" and "where did *this
+ * request* spend its time across the whole farm". Every pipeline
+ * stage is a SpanScope; the client mints a trace id, forwards it as
  * `trace-id`/`parent-span` protocol headers, every replica that
  * touches the request (queue, memory gate, cache, compile stages,
  * peer fill, response write) records children of the client's span,
  * and `treegion-report --trace-merge` reassembles the files from all
- * parties into one tree per request.
+ * parties into one tree per request. The collector's buffer is
+ * written either as JSONL (`--trace-spans`) or as a Chrome trace
+ * (`--trace-json`, support/chrome_trace.h).
  *
  * Design, mirroring support/remarks.h:
  *
  *  - A TraceSpan serializes to one JSON line with a fixed key order and
- *    parses back losslessly through a strict parser that rejects
- *    unknown fields, duplicates, missing fields and trailing bytes —
- *    the span stream is a wire format, not debug output.
+ *    parses back losslessly through the strict flat-JSON reader
+ *    (support/json.h), rejecting unknown fields, duplicates, missing
+ *    fields and trailing bytes — the span stream is a wire format,
+ *    not debug output.
  *
  *  - Propagation is ambient and thread-local. A SpanContextScope
  *    installs the incoming request's context for the current thread;
- *    every SpanScope below it (including the ones embedded in
- *    TraceScope) becomes a child automatically. With no ambient
+ *    every SpanScope below it (the pipeline's stage scopes included)
+ *    becomes a child automatically. With no ambient
  *    context and the collector disabled, a SpanScope is inert: one
  *    thread-local read, one relaxed atomic load, zero allocation —
  *    the zero-allocation steady-state pin covers this path.
  *
- *  - Sampling is decided once, at the root: an unsampled trace
- *    propagates nothing and records nothing downstream. Timestamps
+ *  - Sampling is decided once, at the root: an unsampled root
+ *    installs its context for its lifetime, so nothing nested under
+ *    it records or rolls again, and it propagates nothing. Timestamps
  *    are wall-clock microseconds (CLOCK_REALTIME) so files from
  *    different hosts can be aligned by the ping-based clock sync.
  */
@@ -43,12 +48,18 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "support/json.h"
 
 namespace treegion::support {
 
 /** Current wall-clock time in microseconds since the Unix epoch. */
 int64_t epochUs();
+
+/** Stable small id of the calling thread (assigned on first use). */
+uint32_t currentThreadId();
 
 /** @return a fresh non-zero 64-bit id (thread-local splitmix64
  * seeded from the system entropy source). */
@@ -114,20 +125,6 @@ class SpanContextScope
     SpanContext prev_;
 };
 
-/** One named argument of a span (ordered; order is schema). */
-struct SpanArg
-{
-    enum class Type { Int, Float, Str };
-
-    std::string key;
-    Type type = Type::Int;
-    int64_t i = 0;
-    double f = 0.0;
-    std::string s;
-
-    bool operator==(const SpanArg &other) const = default;
-};
-
 /** One completed span: a named interval inside one trace. */
 struct TraceSpan
 {
@@ -140,14 +137,14 @@ struct TraceSpan
     uint32_t tid = 0;
     int64_t start_us = 0;   ///< wall clock (epochUs)
     int64_t dur_us = 0;
-    std::vector<SpanArg> args;
+    std::vector<JsonArg> args;
 
     bool operator==(const TraceSpan &other) const = default;
 
     /**
      * Serialize as one JSON object (no trailing newline), stable key
      * order: trace, span, parent ("" for roots), name, svc, tid,
-     * start_us, dur_us, args. Floats use %.17g so the line
+     * start_us, dur_us, args. Floats use jsonFloatText so the line
      * round-trips bit-exactly through parseSpanJson.
      */
     std::string toJson() const;
@@ -167,8 +164,9 @@ bool parseSpanJson(const std::string &line, TraceSpan &out,
 
 /**
  * Process-wide sink for completed spans. Off by default; while off,
- * recording sites are inert. On, spans buffer in memory (bounded —
- * overflow increments dropped()) until written as JSONL.
+ * recording sites are inert. On, spans buffer in memory (bounded at
+ * 65,536 — overflow increments dropped()) until written as JSONL or
+ * exported as a Chrome trace.
  */
 class SpanCollector
 {
@@ -240,7 +238,9 @@ class SpanCollector
  *    span; installs itself as the ambient context so nested scopes
  *    chain.
  *  - no usable ambient context, Root::IfEnabled, collector enabled:
- *    mints a fresh trace (sampled per the collector's rate).
+ *    mints a fresh trace (sampled per the collector's rate) and
+ *    installs it — an unsampled one too, so every scope nested under
+ *    an unsampled root stays inert.
  *  - otherwise inert: no clock read, no allocation.
  */
 class SpanScope
@@ -275,8 +275,7 @@ class SpanScope
      */
     void finish();
 
-    SpanScope &arg(const char *key, std::string value);
-    SpanScope &arg(const char *key, const char *value);
+    SpanScope &arg(const char *key, std::string_view value);
     SpanScope &arg(const char *key, int64_t value);
     SpanScope &arg(const char *key, double value);
 
@@ -287,7 +286,7 @@ class SpanScope
     SpanContext ctx_;       ///< this span as the parent of children
     uint64_t parent_ = 0;
     int64_t start_us_ = 0;
-    std::vector<SpanArg> args_;
+    std::vector<JsonArg> args_;
     SpanContext saved_;
 };
 
@@ -299,7 +298,7 @@ class SpanScope
  */
 void noteSpan(const SpanContext &parent, const char *name,
               int64_t start_us, int64_t end_us,
-              std::vector<SpanArg> args = {});
+              std::vector<JsonArg> args = {});
 
 } // namespace treegion::support
 

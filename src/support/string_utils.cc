@@ -2,6 +2,7 @@
 
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 
 namespace treegion::support {
 
@@ -63,6 +64,14 @@ strprintf(const char *fmt, ...)
     std::vsnprintf(out.data(), out.size() + 1, fmt, args2);
     va_end(args2);
     return out;
+}
+
+void
+exitBadFlagNumber(std::string_view flag, const char *text)
+{
+    std::fprintf(stderr, "%.*s expects a number, got '%s'\n",
+                 static_cast<int>(flag.size()), flag.data(), text);
+    std::exit(2);
 }
 
 } // namespace treegion::support

@@ -1,148 +1,12 @@
 /**
  * @file
- * Structured tracing and metrics for the compilation pipeline.
- *
- * The collector records *complete* events (a named span with a start
- * timestamp and a duration, Chrome trace phase "X") plus named
- * monotonic counters, from any number of threads at once. The
- * pipeline wraps each stage (formation, lowering, DDG build, list
- * scheduling, verification) in a TraceScope; the result can be
- * dumped as Chrome trace event JSON and loaded in chrome://tracing
- * or https://ui.perfetto.dev.
- *
- * Tracing is globally disabled by default and costs one relaxed
- * atomic load per scope when off. Spans are coarse (one per pipeline
- * stage per region, not per op), so a single mutex around the event
- * buffer is cheap relative to the work being measured and keeps the
- * collector trivially race-free under TSan.
+ * Kept for includers that predate support/json.h (which now holds
+ * jsonEscape); new code includes support/json.h directly.
  */
 
 #ifndef TREEGION_SUPPORT_TRACE_H
 #define TREEGION_SUPPORT_TRACE_H
 
-#include <atomic>
-#include <cstdint>
-#include <map>
-#include <mutex>
-#include <ostream>
-#include <string>
-#include <utility>
-#include <vector>
-
-#include "support/spans.h"
-
-namespace treegion::support {
-
-/** One completed span ("X" phase in the Chrome trace format). */
-struct TraceEvent
-{
-    std::string name;      ///< stage name, e.g. "formation"
-    std::string category;  ///< Chrome "cat", e.g. "pipeline"
-    int64_t start_us = 0;  ///< microseconds since process trace epoch
-    int64_t duration_us = 0;
-    uint32_t tid = 0;      ///< stable small per-thread id
-    /** Extra key/value detail rendered into the event's "args". */
-    std::vector<std::pair<std::string, std::string>> args;
-};
-
-/** Process-wide trace event and counter sink. */
-class TraceCollector
-{
-  public:
-    /** @return the process-wide collector. */
-    static TraceCollector &instance();
-
-    /** Turn collection on or off (off by default). */
-    void setEnabled(bool enabled);
-
-    /** @return true when spans/counters are being recorded. */
-    bool
-    enabled() const
-    {
-        return enabled_.load(std::memory_order_relaxed);
-    }
-
-    /** Append one completed event (no-op when disabled). */
-    void record(TraceEvent event);
-
-    /** Add @p delta to counter @p name (no-op when disabled). */
-    void addCounter(const std::string &name, uint64_t delta);
-
-    /** @return a snapshot of all recorded events. */
-    std::vector<TraceEvent> events() const;
-
-    /** @return a snapshot of all counters. */
-    std::map<std::string, uint64_t> counters() const;
-
-    /** Drop all recorded events and counters. */
-    void clear();
-
-    /**
-     * Write everything recorded so far as Chrome trace event JSON
-     * (the "JSON object format": a traceEvents array plus metadata).
-     * Counters are emitted as one "C" event each at the time of the
-     * last recorded span.
-     */
-    void writeChromeTrace(std::ostream &os) const;
-
-    /** writeChromeTrace to @p path. @return false on I/O failure. */
-    bool writeChromeTraceFile(const std::string &path) const;
-
-    /** Microseconds since the process trace epoch (monotonic). */
-    static int64_t nowUs();
-
-    /** Stable small id of the calling thread (assigned on first use). */
-    static uint32_t currentThreadId();
-
-  private:
-    TraceCollector() = default;
-
-    std::atomic<bool> enabled_{false};
-    mutable std::mutex mutex_;
-    std::vector<TraceEvent> events_;
-    std::map<std::string, uint64_t> counters_;
-};
-
-/**
- * RAII span: records one complete event covering its own lifetime.
- * When the collector is disabled at construction time the scope is
- * inert (destruction records nothing even if tracing is enabled in
- * between, so event streams never contain torn spans).
- *
- * A TraceScope is also a distributed-tracing emission site: when the
- * current thread carries a sampled SpanContext (a request being
- * traced across the farm, see support/spans.h), the same interval is
- * recorded as a child span of that context. With no ambient context
- * the embedded SpanScope is inert, so local-only paths pay nothing
- * extra.
- */
-class TraceScope
-{
-  public:
-    /** Open a span named @p name in @p category. */
-    explicit TraceScope(const char *name,
-                        const char *category = "pipeline");
-
-    /** Attach one key/value detail to the span. */
-    TraceScope &arg(const char *key, std::string value);
-
-    ~TraceScope();
-
-    TraceScope(const TraceScope &) = delete;
-    TraceScope &operator=(const TraceScope &) = delete;
-
-  private:
-    bool live_ = false;  ///< collector was enabled at construction
-    TraceEvent event_;
-    SpanScope span_;     ///< distributed twin (inert without ambient)
-};
-
-/**
- * Escape @p s for inclusion inside a JSON string literal (quotes,
- * backslashes, control characters).
- */
-std::string jsonEscape(const std::string &s);
-
-} // namespace treegion::support
+#include "support/json.h"
 
 #endif // TREEGION_SUPPORT_TRACE_H

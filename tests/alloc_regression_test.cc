@@ -33,7 +33,6 @@
 #include "support/memstat.h"
 #include "support/metrics.h"
 #include "support/spans.h"
-#include "support/trace.h"
 #include "workloads/profiler.h"
 #include "workloads/synthetic.h"
 
@@ -107,9 +106,10 @@ TEST(AllocRegression, SteadyStateSchedulingIsHeapFree)
  * The tracing observers are compiled into every binary; the claim
  * that keeps them free is that DISABLED observers cost nothing on
  * the hot path — no clock reads and, pinned here, no allocation.
- * Inert TraceScope/SpanScope construction, ambient-context reads and
- * flight-recorder notes must all run heap-free, or always-on
- * instrumentation would break the arena steady-state property above.
+ * Inert SpanScope construction (stage sites included), ambient-
+ * context reads and flight-recorder notes must all run heap-free, or
+ * always-on instrumentation would break the arena steady-state
+ * property above.
  */
 TEST(AllocRegression, DisabledTracingObserversAreHeapFree)
 {
@@ -121,7 +121,8 @@ TEST(AllocRegression, DisabledTracingObserversAreHeapFree)
     {
         tg_test::AllocGuard guard;
         for (int i = 0; i < 256; ++i) {
-            support::TraceScope stage("schedule");
+            support::SpanScope stage("schedule",
+                                     support::SpanScope::Root::IfEnabled);
             support::SpanScope child("cache-lookup");
             support::SpanScope root(
                 "request", support::SpanScope::Root::IfEnabled);
@@ -135,6 +136,38 @@ TEST(AllocRegression, DisabledTracingObserversAreHeapFree)
     }
     EXPECT_EQ(allocations, 0u)
         << "disabled tracing observers allocated";
+}
+
+/**
+ * The same claim for a collector that is on but whose root lost its
+ * sampling roll: the unsampled root installs its context, and every
+ * stage scope, child and note below it stays inert and heap-free.
+ */
+TEST(AllocRegression, UnsampledRootsKeepNestedScopesHeapFree)
+{
+    auto &spans = support::SpanCollector::instance();
+    spans.clear();
+    spans.configure(0.0);
+
+    uint64_t allocations;
+    {
+        tg_test::AllocGuard guard;
+        for (int i = 0; i < 256; ++i) {
+            support::SpanScope root(
+                "request", support::SpanScope::Root::IfEnabled);
+            support::SpanScope stage("schedule",
+                                     support::SpanScope::Root::IfEnabled);
+            stage.arg("ops", int64_t{1});
+            support::noteSpan(support::currentSpanContext(),
+                              "queue-wait", 0, 1);
+        }
+        allocations = guard.allocations();
+    }
+    const size_t recorded = spans.size();
+    spans.configure(1.0);
+    spans.setEnabled(false);
+    EXPECT_EQ(recorded, 0u);
+    EXPECT_EQ(allocations, 0u) << "unsampled scopes allocated";
 }
 
 TEST(AllocRegression, ArenaMetricsReported)

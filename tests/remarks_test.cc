@@ -61,11 +61,11 @@ sampleRemark()
     r.function = "odd \"name\"\nwith\tescapes\\";
     r.block = 7;
     r.op = 123;
-    r.args.push_back({"reason", RemarkArg::Type::Str, 0, 0.0,
+    r.args.push_back({"reason", JsonArg::Type::Str, 0, 0.0,
                       "merge-limit"});
-    r.args.push_back({"preds", RemarkArg::Type::Int, -5, 0.0, ""});
-    r.args.push_back({"cap", RemarkArg::Type::Float, 0, 0.1, ""});
-    r.args.push_back({"big", RemarkArg::Type::Float, 0, 1.25e300, ""});
+    r.args.push_back({"preds", JsonArg::Type::Int, -5, 0.0, ""});
+    r.args.push_back({"cap", JsonArg::Type::Float, 0, 0.1, ""});
+    r.args.push_back({"big", JsonArg::Type::Float, 0, 1.25e300, ""});
     return r;
 }
 
@@ -103,37 +103,41 @@ TEST(RemarkJson, RejectsSchemaViolations)
     const struct
     {
         const char *line;
-        const char *why;
+        const char *error;
     } cases[] = {
         {"{\"pass\":\"sched\",\"kind\":\"not-a-kind\",\"fn\":\"f\"}",
-         "unknown kind"},
-        {"{\"pass\":\"sched\",\"kind\":\"renamed\"}", "missing fn"},
-        {"{\"kind\":\"renamed\",\"fn\":\"f\"}", "missing pass"},
+         "unknown kind 'not-a-kind'"},
+        {"{\"pass\":\"sched\",\"kind\":\"renamed\"}",
+         "missing required field 'fn'"},
+        {"{\"kind\":\"renamed\",\"fn\":\"f\"}",
+         "missing required field 'pass'"},
         {"{\"pass\":\"perf\",\"kind\":\"renamed\",\"fn\":\"f\"}",
-         "pass/kind mismatch"},
+         "pass 'perf' does not match kind 'renamed' (expected 'sched')"},
         {"{\"pass\":\"sched\",\"kind\":\"renamed\",\"fn\":\"f\"} x",
-         "trailing garbage"},
+         "trailing characters after the remark object"},
         {"{\"pass\":\"sched\",\"kind\":\"renamed\",\"fn\":\"f\","
          "\"block\":\"seven\"}",
-         "block must be an integer"},
+         "expected a number"},
         {"{\"pass\":\"sched\",\"kind\":\"renamed\",\"fn\":\"f\","
          "\"block\":-2}",
-         "block must be non-negative"},
+         "'block' must be a non-negative integer"},
         {"{\"pass\":\"sched\",\"kind\":\"renamed\",\"fn\":\"f\","
          "\"surprise\":1}",
-         "unknown top-level key"},
+         "unknown field 'surprise'"},
         {"{\"pass\":\"sched\",\"kind\":\"renamed\",\"fn\":\"f\","
          "\"args\":{\"x\":{}}}",
-         "nested args value"},
-        {"not json at all", "not an object"},
-        {"", "empty line"},
+         "argument 'x' must be a scalar"},
+        {"{\"pass\":\"sched\",\"kind\":\"renamed\",\"fn\":\"a\","
+         "\"fn\":\"b\",\"block\":1,\"block\":2}",
+         "duplicate field 'fn'"},
+        {"not json at all", "expected '{' at offset 0"},
+        {"", "expected '{' at offset 0"},
     };
     for (const auto &c : cases) {
         Remark out;
         std::string error;
-        EXPECT_FALSE(parseRemarkJson(c.line, out, &error))
-            << c.why << ": " << c.line;
-        EXPECT_FALSE(error.empty()) << c.why;
+        EXPECT_FALSE(parseRemarkJson(c.line, out, &error)) << c.line;
+        EXPECT_EQ(error, c.error) << c.line;
     }
 }
 
@@ -272,7 +276,7 @@ TEST(PipelineRemarks, RefusalReasonsAreReported)
         for (const Remark &r : run.stream.remarks()) {
             if (r.kind != RemarkKind::TailDupRefused)
                 continue;
-            for (const RemarkArg &arg : r.args)
+            for (const JsonArg &arg : r.args)
                 found |= arg.key == "reason" &&
                          arg.s == "expansion-limit";
         }
@@ -288,7 +292,7 @@ TEST(PipelineRemarks, RefusalReasonsAreReported)
         for (const Remark &r : run.stream.remarks()) {
             if (r.kind != RemarkKind::TailDupStopped)
                 continue;
-            for (const RemarkArg &arg : r.args)
+            for (const JsonArg &arg : r.args)
                 found |= arg.key == "reason" && arg.s == "path-limit";
         }
         EXPECT_TRUE(found);
@@ -303,7 +307,7 @@ TEST(PipelineRemarks, RefusalReasonsAreReported)
         for (const Remark &r : run.stream.remarks()) {
             if (r.kind != RemarkKind::TailDupStopped)
                 continue;
-            for (const RemarkArg &arg : r.args)
+            for (const JsonArg &arg : r.args)
                 found |= arg.key == "reason" && arg.s == "max-blocks";
         }
         EXPECT_TRUE(found);
@@ -349,7 +353,7 @@ TEST(PipelineRemarks, RefusalReasonsAreReported)
         for (const Remark &r : run.stream.remarks()) {
             if (r.kind != RemarkKind::TailDupRefused)
                 continue;
-            for (const RemarkArg &arg : r.args)
+            for (const JsonArg &arg : r.args)
                 found |=
                     arg.key == "reason" && arg.s == "merge-limit";
         }
@@ -393,7 +397,7 @@ TEST(PipelineRemarks, RefusalReasonsAreReported)
         for (const Remark &r : run.stream.remarks()) {
             if (r.kind != RemarkKind::TailDupRefused)
                 continue;
-            for (const RemarkArg &arg : r.args)
+            for (const JsonArg &arg : r.args)
                 found |= arg.key == "reason" &&
                          arg.s == "repeats-along-path";
         }

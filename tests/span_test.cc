@@ -29,7 +29,6 @@
 #include "support/logging.h"
 #include "support/spans.h"
 #include "support/string_utils.h"
-#include "support/trace.h"
 
 using namespace treegion;
 
@@ -125,19 +124,19 @@ sampleSpan()
     s.tid = 7;
     s.start_us = 1700000000000000;
     s.dur_us = 1234;
-    support::SpanArg str;
+    support::JsonArg str;
     str.key = "fn";
-    str.type = support::SpanArg::Type::Str;
+    str.type = support::JsonArg::Type::Str;
     str.s = "main \"quoted\"\\path\n";
     s.args.push_back(str);
-    support::SpanArg num;
+    support::JsonArg num;
     num.key = "ops";
-    num.type = support::SpanArg::Type::Int;
+    num.type = support::JsonArg::Type::Int;
     num.i = -42;
     s.args.push_back(num);
-    support::SpanArg flt;
+    support::JsonArg flt;
     flt.key = "ratio";
-    flt.type = support::SpanArg::Type::Float;
+    flt.type = support::JsonArg::Type::Float;
     flt.f = 0.125;
     s.args.push_back(flt);
     return s;
@@ -178,11 +177,13 @@ TEST_F(SpanTest, ParserRejectsMalformedLines)
     std::string bad = good;
     bad.insert(bad.size() - 1, ",\"extra\":1");
     EXPECT_FALSE(support::parseSpanJson(bad, out, &error));
+    EXPECT_EQ(error, "unknown field 'extra'");
 
     // Duplicate field.
     bad = good;
     bad.insert(bad.size() - 1, ",\"tid\":7");
     EXPECT_FALSE(support::parseSpanJson(bad, out, &error));
+    EXPECT_EQ(error, "duplicate field 'tid'");
 
     // Missing field.
     bad = good;
@@ -190,9 +191,11 @@ TEST_F(SpanTest, ParserRejectsMalformedLines)
     ASSERT_NE(tid, std::string::npos);
     bad.erase(tid, 8);
     EXPECT_FALSE(support::parseSpanJson(bad, out, &error));
+    EXPECT_EQ(error, "missing required field 'tid'");
 
     // Trailing garbage after the object.
     EXPECT_FALSE(support::parseSpanJson(good + " x", out, &error));
+    EXPECT_EQ(error, "trailing characters after the span object");
 
     // Bad trace hex (too short).
     bad = good;
@@ -200,6 +203,7 @@ TEST_F(SpanTest, ParserRejectsMalformedLines)
     ASSERT_NE(trace, std::string::npos);
     bad.erase(trace + 9, 4);
     EXPECT_FALSE(support::parseSpanJson(bad, out, &error));
+    EXPECT_EQ(error, "'trace' must be 32 hex digits");
 
     // Non-scalar arg value.
     bad = good;
@@ -207,10 +211,13 @@ TEST_F(SpanTest, ParserRejectsMalformedLines)
     ASSERT_NE(args, std::string::npos);
     bad.insert(args + 8, "\"nested\":{},");
     EXPECT_FALSE(support::parseSpanJson(bad, out, &error));
+    EXPECT_EQ(error, "argument 'nested' must be a scalar");
 
     // Not an object at all.
     EXPECT_FALSE(support::parseSpanJson("[]", out, &error));
+    EXPECT_EQ(error, "expected '{' at offset 0");
     EXPECT_FALSE(support::parseSpanJson("", out, &error));
+    EXPECT_EQ(error, "expected '{' at offset 0");
 }
 
 // ---- scopes and ambient context ------------------------------------
@@ -338,7 +345,7 @@ TEST_F(SpanTest, NoteSpanAttachesCompletedInterval)
     EXPECT_EQ(spans[0].dur_us, 150);
 }
 
-TEST_F(SpanTest, TraceScopeEmitsSpanChildUnderAmbientTrace)
+TEST_F(SpanTest, StageScopeNestsUnderAmbientTrace)
 {
     auto &collector = support::SpanCollector::instance();
     collector.configure(1.0);
@@ -346,15 +353,71 @@ TEST_F(SpanTest, TraceScopeEmitsSpanChildUnderAmbientTrace)
         support::SpanScope root("request",
                                 support::SpanScope::Root::IfEnabled);
         ASSERT_TRUE(root.live());
-        // The pipeline's existing instrumentation points: TraceScope
-        // doubles as a distributed span when an ambient trace exists.
-        support::TraceScope stage("formation");
+        // A pipeline stage site: a root of its own when nothing
+        // encloses it, a child of the ambient trace when something
+        // does.
+        support::SpanScope stage("formation",
+                                 support::SpanScope::Root::IfEnabled);
     }
     const auto spans = collector.snapshot();
     ASSERT_EQ(spans.size(), 2u);
     EXPECT_EQ(spans[0].name, "formation");
     EXPECT_EQ(spans[1].name, "request");
     EXPECT_EQ(spans[0].parent, spans[1].span);
+}
+
+TEST_F(SpanTest, UnsampledRootKeepsNestedScopesInert)
+{
+    auto &collector = support::SpanCollector::instance();
+    collector.configure(0.0);
+    {
+        support::SpanScope outer("client-request",
+                                 support::SpanScope::Root::IfEnabled);
+        EXPECT_FALSE(outer.live());
+        // The decision is installed for the scope's lifetime...
+        const support::SpanContext ctx = support::currentSpanContext();
+        EXPECT_TRUE(ctx.valid());
+        EXPECT_FALSE(ctx.sampled);
+        // ...so a nested root-capable scope does not roll again.
+        collector.configure(1.0);
+        support::SpanScope inner("call",
+                                 support::SpanScope::Root::IfEnabled);
+        EXPECT_FALSE(inner.live());
+    }
+    EXPECT_FALSE(support::currentSpanContext().valid());
+    EXPECT_EQ(collector.size(), 0u);
+}
+
+TEST_F(SpanTest, SamplingIsDecidedOnceAtTheRoot)
+{
+    // ClusterClient::callRouted wraps Client::call, and both may root
+    // a trace: every recorded inner span must hang off a recorded
+    // outer one, and the outer roll alone decides.
+    auto &collector = support::SpanCollector::instance();
+    collector.configure(0.5);
+    constexpr int kPairs = 2000;
+    for (int i = 0; i < kPairs; ++i) {
+        support::SpanScope outer("client-request",
+                                 support::SpanScope::Root::IfEnabled);
+        support::SpanScope inner("call",
+                                 support::SpanScope::Root::IfEnabled);
+        EXPECT_EQ(inner.live(), outer.live());
+    }
+    const auto spans = collector.snapshot();
+    size_t outers = 0;
+    for (size_t k = 0; k < spans.size(); ++k) {
+        if (spans[k].name == "client-request") {
+            ++outers;
+            EXPECT_EQ(spans[k].parent, 0u);
+        } else {
+            // Children are recorded first, right before their parent.
+            ASSERT_LT(k + 1, spans.size());
+            EXPECT_EQ(spans[k].parent, spans[k + 1].span);
+        }
+    }
+    EXPECT_EQ(spans.size(), 2 * outers);
+    EXPECT_GT(outers, 0u);
+    EXPECT_LT(outers, static_cast<size_t>(kPairs));
 }
 
 TEST_F(SpanTest, WriteJsonlRoundTripsThroughParser)

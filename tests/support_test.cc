@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cmath>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -14,6 +15,7 @@
 
 #include "support/arena.h"
 #include "support/bitvector.h"
+#include "support/json.h"
 #include "support/metrics.h"
 #include "support/rng.h"
 #include "support/stats.h"
@@ -317,6 +319,122 @@ TEST(StringUtils, StartsWith)
 TEST(StringUtils, Strprintf)
 {
     EXPECT_EQ(strprintf("%d-%s", 7, "x"), "7-x");
+}
+
+TEST(StringUtils, ParseNumberTakesWholeStringsOnly)
+{
+    uint64_t u = 0;
+    EXPECT_TRUE(parseNumber("7", u));
+    EXPECT_EQ(u, 7u);
+    EXPECT_TRUE(parseNumber("18446744073709551615", u));
+    EXPECT_EQ(u, UINT64_MAX);
+    int i = 0;
+    EXPECT_TRUE(parseNumber("-12", i));
+    EXPECT_EQ(i, -12);
+    double d = 0.0;
+    EXPECT_TRUE(parseNumber("0.25", d));
+    EXPECT_EQ(d, 0.25);
+    EXPECT_TRUE(parseNumber("1e-3", d));
+    EXPECT_EQ(d, 1e-3);
+
+    // What atoi/strtoull used to read as 0 or a prefix is an error.
+    for (const char *bad : {"", "examples/sum_loop.tir", "7x", " 7",
+                            "7 ", "+7", "0x10", "1e999x"})
+        EXPECT_FALSE(parseNumber(bad, u)) << "'" << bad << "'";
+    EXPECT_FALSE(parseNumber("-1", u));
+    EXPECT_FALSE(parseNumber("18446744073709551616", u));
+    EXPECT_FALSE(parseNumber("4294967296", i));
+    EXPECT_FALSE(parseNumber("0.5", i));
+    EXPECT_FALSE(parseNumber("1e999", d));
+    EXPECT_FALSE(parseNumber("half", d));
+}
+
+TEST(StringUtils, ParseFlagNumberExitsTwoNamingTheFlag)
+{
+    uint64_t seed = 1;
+    parseFlagNumber("--run", "7", seed);
+    EXPECT_EQ(seed, 7u);
+    EXPECT_EXIT(parseFlagNumber("--run", "examples/sum_loop.tir", seed),
+                ::testing::ExitedWithCode(2),
+                "--run expects a number, got 'examples/sum_loop.tir'");
+}
+
+TEST(FlatJson, FloatTextRoundTripsAndStaysFloat)
+{
+    EXPECT_EQ(jsonFloatText(2.0), "2.0");
+    EXPECT_EQ(jsonFloatText(-0.0), "-0.0");
+    EXPECT_EQ(jsonFloatText(0.1), "0.10000000000000001");
+    EXPECT_EQ(jsonFloatText(1e300), "1.0000000000000001e+300");
+    for (const double v : {2.0, -0.0, 0.1, 1e300, -1.5e-7}) {
+        const std::string text = jsonFloatText(v);
+        FlatJsonReader in(text, "value", nullptr);
+        JsonArg back;
+        ASSERT_TRUE(in.number(back)) << v;
+        EXPECT_EQ(back.type, JsonArg::Type::Float);
+        EXPECT_EQ(std::signbit(back.f), std::signbit(v));
+        EXPECT_EQ(back.f, v);
+    }
+}
+
+TEST(FlatJson, ArgsRoundTripThroughTheReader)
+{
+    const std::vector<JsonArg> args = {
+        JsonArg::ofStr("s", "q\"\\\n\r\t\x01/"),
+        JsonArg::ofInt("i", -9007199254740993),
+        JsonArg::ofFloat("f", 0.5)};
+    std::string text = "{\"args\":{";
+    appendJsonArgs(text, args);
+    text += "}}";
+    EXPECT_EQ(text, "{\"args\":{\"s\":\"q\\\"\\\\\\n\\r\\t\\u0001/\","
+                    "\"i\":-9007199254740993,\"f\":0.5}}");
+    FlatJsonReader in(text, "test", nullptr);
+    std::vector<JsonArg> back;
+    ASSERT_TRUE(in.readObject([&](const std::string &key) {
+        return key == "args" && in.args(back);
+    }));
+    EXPECT_TRUE(in.seen("args"));
+    EXPECT_FALSE(in.seen("other"));
+    EXPECT_EQ(back, args);
+}
+
+TEST(FlatJson, ReaderRejectsMalformedTokens)
+{
+    const struct
+    {
+        const char *text;
+        const char *error;
+    } cases[] = {
+        {"{\"a\":\"x\\q\"}", "bad escape '\\q'"},
+        {"{\"a\":\"x", "unterminated string"},
+        {"{\"a\":\"x\\", "unterminated escape"},
+        {"{\"a\":\"\\u00", "truncated \\u escape"},
+        {"{\"a\":\"\\u00zz\"}", "bad \\u escape digit"},
+        {"{\"a\":1e}", "bad number '1e'"},
+        {"{\"a\":99999999999999999999}",
+         "bad number '99999999999999999999'"},
+        {"{\"a\":true}", "expected a number"},
+        {"{\"a\":1 \"b\":2}", "expected ',' at offset 7"},
+        {"{\"a\" 1}", "expected ':' at offset 5"},
+        {"{\"a\":1,\"a\":1}", "duplicate field 'a'"},
+        {"{\"a\":1}}", "trailing characters after the test object"},
+        {"{\"a\":{\"n\":[1]}}", "argument 'n' must be a scalar"},
+    };
+    for (const auto &c : cases) {
+        const std::string text = c.text;
+        std::string error;
+        FlatJsonReader in(text, "test", &error);
+        const auto value = [&](const std::string &) {
+            JsonArg scalar;
+            std::vector<JsonArg> args;
+            if (text.find("\"a\":{") != std::string::npos)
+                return in.args(args);
+            if (text.find("\"a\":\"") != std::string::npos)
+                return in.string(scalar.s);
+            return in.number(scalar);
+        };
+        EXPECT_FALSE(in.readObject(value)) << text;
+        EXPECT_EQ(error, c.error) << text;
+    }
 }
 
 TEST(MetricsRegistry, CountersAndHistograms)

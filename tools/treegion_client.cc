@@ -117,7 +117,7 @@ main(int argc, char **argv)
         } else if (arg == "--function") {
             req.function = next();
         } else if (arg == "--deadline-ms") {
-            req.deadline_ms = std::atoll(next());
+            support::parseFlagNumber(arg, next(), req.deadline_ms);
         } else if (arg == "--print-schedule") {
             req.want_schedule = true;
         } else if (arg == "--no-cache") {
@@ -125,9 +125,9 @@ main(int argc, char **argv)
         } else if (arg == "--no-profile") {
             req.profile = false;
         } else if (arg == "--profile-seed") {
-            req.profile_seed = std::strtoull(next(), nullptr, 10);
+            support::parseFlagNumber(arg, next(), req.profile_seed);
         } else if (arg == "--profile-runs") {
-            req.profile_runs = std::atoi(next());
+            support::parseFlagNumber(arg, next(), req.profile_runs);
         } else if (arg == "--ping") {
             req.verb = "ping";
         } else if (arg == "--stats") {
@@ -135,7 +135,7 @@ main(int argc, char **argv)
         } else if (arg == "--trace-spans") {
             span_path = next();
         } else if (arg == "--trace-sample") {
-            span_sample = std::atof(next());
+            support::parseFlagNumber(arg, next(), span_sample);
         } else if (arg == "--quiet") {
             quiet = true;
         } else if (arg == "--help" || arg == "-h") {

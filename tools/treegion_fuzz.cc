@@ -21,7 +21,9 @@
  *   --tamper K           fault injection (1 = corrupt an exit cycle)
  *   --proxy-audit W      instead of fuzzing, run all oracles over
  *                        the SPECint95 proxies at issue width W
- *   --trace-json FILE    dump Chrome trace events to FILE
+ *   --trace-json FILE    write the campaign's spans (campaign,
+ *                        program, cell and pipeline stages) to FILE
+ *                        as a Chrome trace
  *   --flight-rec FILE    dump the crash flight recorder here when a
  *                        worker panics or dies on a fatal signal —
  *                        the last events of every thread, so a crash
@@ -38,9 +40,11 @@
 #include <string>
 
 #include "fuzz/campaign.h"
+#include "support/chrome_trace.h"
 #include "support/flightrec.h"
 #include "support/logging.h"
-#include "support/trace.h"
+#include "support/spans.h"
+#include "support/string_utils.h"
 
 using namespace treegion;
 
@@ -96,22 +100,21 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--budget-seconds") {
-            opts.budget_seconds = std::atof(next(i));
+            support::parseFlagNumber(arg, next(i), opts.budget_seconds);
         } else if (arg == "--programs") {
-            opts.max_programs =
-                static_cast<size_t>(std::atoll(next(i)));
+            support::parseFlagNumber(arg, next(i), opts.max_programs);
         } else if (arg == "--jobs") {
-            opts.jobs = static_cast<size_t>(std::atoll(next(i)));
+            support::parseFlagNumber(arg, next(i), opts.jobs);
         } else if (arg == "--seed") {
-            opts.seed = std::strtoull(next(i), nullptr, 0);
+            support::parseFlagNumber(arg, next(i), opts.seed);
         } else if (arg == "--corpus") {
             opts.corpus_dir = next(i);
         } else if (arg == "--no-reduce") {
             opts.reduce = false;
         } else if (arg == "--tamper") {
-            opts.oracle.tamper = std::atoi(next(i));
+            support::parseFlagNumber(arg, next(i), opts.oracle.tamper);
         } else if (arg == "--proxy-audit") {
-            audit_width = std::atoi(next(i));
+            support::parseFlagNumber(arg, next(i), audit_width);
         } else if (arg == "--trace-json") {
             trace_json = next(i);
         } else if (arg == "--flight-rec") {
@@ -124,8 +127,11 @@ main(int argc, char **argv)
         }
     }
 
-    if (!trace_json.empty())
-        support::TraceCollector::instance().setEnabled(true);
+    if (!trace_json.empty()) {
+        auto &spans = support::SpanCollector::instance();
+        spans.setService("treegion-fuzz");
+        spans.configure(1.0);
+    }
     if (!flightrec_path.empty()) {
         support::flightrec::setDumpPath(flightrec_path.c_str());
         support::flightrec::installCrashHandlers();
@@ -151,8 +157,8 @@ main(int argc, char **argv)
     }
 
     if (!trace_json.empty() &&
-        !support::TraceCollector::instance().writeChromeTraceFile(
-            trace_json)) {
+        !support::writeChromeTraceFile(
+            trace_json, support::SpanCollector::instance().snapshot())) {
         std::fprintf(stderr, "cannot write trace to %s\n",
                      trace_json.c_str());
     }

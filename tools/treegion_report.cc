@@ -54,10 +54,10 @@
 
 #include "ir/parser.h"
 #include "sched/pipeline.h"
+#include "support/chrome_trace.h"
 #include "support/remarks.h"
 #include "support/spans.h"
 #include "support/string_utils.h"
-#include "support/trace.h"
 #include "workloads/profiler.h"
 #include "workloads/spec_proxy.h"
 
@@ -238,10 +238,10 @@ runDiff(const CliOptions &cli)
 
 // ---- --trace-merge -------------------------------------------------
 
-const support::SpanArg *
+const support::JsonArg *
 findArg(const support::TraceSpan &s, const char *key)
 {
-    for (const support::SpanArg &a : s.args) {
+    for (const support::JsonArg &a : s.args) {
         if (a.key == key)
             return &a;
     }
@@ -249,38 +249,18 @@ findArg(const support::TraceSpan &s, const char *key)
 }
 
 std::string
-argText(const support::SpanArg &a)
+argText(const support::JsonArg &a)
 {
     switch (a.type) {
-      case support::SpanArg::Type::Int:
+      case support::JsonArg::Type::Int:
         return support::strprintf("%lld",
                                   static_cast<long long>(a.i));
-      case support::SpanArg::Type::Float:
+      case support::JsonArg::Type::Float:
         return support::strprintf("%g", a.f);
-      case support::SpanArg::Type::Str:
+      case support::JsonArg::Type::Str:
         return a.s;
     }
     return "";
-}
-
-std::string
-jsonEscape(const std::string &text)
-{
-    std::string out;
-    for (const char c : text) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += support::strprintf("\\u%04x", c);
-            else
-                out += c;
-        }
-    }
-    return out;
 }
 
 /** One trace's spans, indexed for tree walking. */
@@ -314,7 +294,7 @@ void
 printSpanLine(const support::TraceSpan &s, int depth, int64_t origin_us)
 {
     std::string args;
-    for (const support::SpanArg &a : s.args)
+    for (const support::JsonArg &a : s.args)
         args += " " + a.key + "=" + argText(a);
     std::printf("  %*s%-16s %+9.3fms %9.3fms  svc=%s%s\n", depth * 2,
                 "", s.name.c_str(),
@@ -378,47 +358,6 @@ printBreakdown(const std::vector<support::TraceSpan> &spans,
                 other / 1000.0);
 }
 
-bool
-writeChromeTrace(const std::string &path,
-                 const std::vector<support::TraceSpan> &spans)
-{
-    std::ofstream out(path);
-    if (!out)
-        return false;
-    // One Chrome "process" per service, so each replica and each
-    // client gets its own swimlane group in the viewer.
-    std::map<std::string, int> pids;
-    for (const support::TraceSpan &s : spans)
-        pids.emplace(s.service, static_cast<int>(pids.size()) + 1);
-    out << "[";
-    bool first = true;
-    for (const auto &[svc, pid] : pids) {
-        out << (first ? "" : ",") << "\n"
-            << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":"
-            << pid << ",\"tid\":0,\"args\":{\"name\":\""
-            << jsonEscape(svc) << "\"}}";
-        first = false;
-    }
-    for (const support::TraceSpan &s : spans) {
-        out << (first ? "" : ",") << "\n"
-            << "{\"name\":\"" << jsonEscape(s.name)
-            << "\",\"cat\":\"span\",\"ph\":\"X\",\"ts\":" << s.start_us
-            << ",\"dur\":" << s.dur_us
-            << ",\"pid\":" << pids[s.service] << ",\"tid\":" << s.tid
-            << ",\"args\":{\"trace\":\""
-            << support::traceIdHex(s.trace_hi, s.trace_lo)
-            << "\",\"span\":\"" << support::spanIdHex(s.span) << "\"";
-        for (const support::SpanArg &a : s.args) {
-            out << ",\"" << jsonEscape(a.key) << "\":\""
-                << jsonEscape(argText(a)) << "\"";
-        }
-        out << "}}";
-        first = false;
-    }
-    out << "\n]\n";
-    return out.good();
-}
-
 int
 runTraceMerge(const CliOptions &cli)
 {
@@ -455,9 +394,9 @@ runTraceMerge(const CliOptions &cli)
     for (const support::TraceSpan &s : spans) {
         if (s.name != "clock-sync")
             continue;
-        const support::SpanArg *member = findArg(s, "member");
-        const support::SpanArg *offset = findArg(s, "offset_us");
-        const support::SpanArg *rtt = findArg(s, "rtt_us");
+        const support::JsonArg *member = findArg(s, "member");
+        const support::JsonArg *offset = findArg(s, "offset_us");
+        const support::JsonArg *rtt = findArg(s, "rtt_us");
         if (!member || !offset || !rtt)
             continue;
         const auto it = offsets.find(member->s);
@@ -529,8 +468,8 @@ runTraceMerge(const CliOptions &cli)
         for (const size_t i : tree.members) {
             if (spans[i].name != "call")
                 continue;
-            const support::SpanArg *verb = findArg(spans[i], "verb");
-            const support::SpanArg *status =
+            const support::JsonArg *verb = findArg(spans[i], "verb");
+            const support::JsonArg *status =
                 findArg(spans[i], "status");
             if (!verb || verb->s != "compile" || !status ||
                 status->s != "ok")
@@ -600,7 +539,7 @@ runTraceMerge(const CliOptions &cli)
                 offsets.size(), svc_note.c_str());
 
     if (!cli.chrome_path.empty()) {
-        if (!writeChromeTrace(cli.chrome_path, spans)) {
+        if (!support::writeChromeTraceFile(cli.chrome_path, spans)) {
             std::fprintf(stderr, "cannot write %s\n",
                          cli.chrome_path.c_str());
             return 1;
@@ -932,8 +871,9 @@ main(int argc, char **argv)
                     next(), cli.pipeline.sched.heuristic))
                 return usage(argv[0]);
         } else if (arg == "--width") {
-            cli.pipeline.model =
-                sched::MachineModel::custom(std::atoi(next()));
+            int width = 0;
+            support::parseFlagNumber(arg, next(), width);
+            cli.pipeline.model = sched::MachineModel::custom(width);
         } else if (arg == "--proxies") {
             cli.proxies = true;
         } else if (arg == "--html") {
@@ -957,8 +897,7 @@ main(int argc, char **argv)
             cli.diff_a = next();
             cli.diff_b = next();
         } else if (arg == "--limit") {
-            cli.diff_limit =
-                static_cast<size_t>(std::atoll(next()));
+            support::parseFlagNumber(arg, next(), cli.diff_limit);
         } else if (arg == "--help" || arg == "-h") {
             return usage(argv[0]);
         } else if (!arg.empty() && arg[0] == '-') {

@@ -41,8 +41,10 @@
  *                        oversized job runs solo (default 0 = off)
  *   --all-functions      compile every function in the module
  *   --sweep              compile every scheme x heuristic config
- *   --trace-json FILE    dump per-stage Chrome trace events to FILE
- *                        (load in chrome://tracing or perfetto)
+ *   --trace-json FILE    write every recorded span (one per pipeline
+ *                        stage, nested under its "job") to FILE as a
+ *                        Chrome trace (load in chrome://tracing or
+ *                        perfetto); works in single and batch mode
  *   --flight-rec FILE    crash flight recorder: dump each thread's
  *                        ring of recent events (job starts, stage
  *                        entries) to FILE as JSONL on TG_PANIC or a
@@ -58,13 +60,15 @@
  *                        list "A,B,C" routes over the cluster's
  *                        consistent-hash ring with failover)
  *   --no-cache           ask the server to bypass its compile cache
- *   --trace-spans FILE   with --server: record the client-side spans
- *                        of this invocation ("call", "clock-sync")
- *                        and append them to FILE as treegion-span/v1
- *                        JSONL; the trace id propagates to the
+ *   --trace-spans FILE   append this invocation's spans to FILE as
+ *                        treegion-span/v1 JSONL; with --server these
+ *                        are the client-side "call" and "clock-sync"
+ *                        spans, and the trace id propagates to the
  *                        replicas so their --trace-spans files merge
  *                        into one tree (treegion-report --trace-merge)
- *   --trace-sample R     sampling probability in [0,1] (default 1)
+ *   --trace-sample R     probability in [0,1] that a trace is sampled,
+ *                        shared by --trace-json and --trace-spans
+ *                        (default 1)
  * The pipeline options above are encoded and shipped with the
  * module; the server replies with the same stats (plus schedules
  * under --print-schedule), served from its content-addressed cache
@@ -88,12 +92,12 @@
 #include "sched/schedule_verifier.h"
 #include "service/client.h"
 #include "service/ring.h"
+#include "support/chrome_trace.h"
 #include "support/flightrec.h"
 #include "support/logging.h"
 #include "support/spans.h"
 #include "support/string_utils.h"
 #include "support/remarks.h"
-#include "support/trace.h"
 #include "vliw/equivalence.h"
 #include "workloads/profiler.h"
 
@@ -394,20 +398,22 @@ main(int argc, char **argv)
                     next(), cli.pipeline.sched.heuristic))
                 return usage(argv[0]);
         } else if (arg == "--width") {
-            cli.pipeline.model = sched::MachineModel::custom(
-                std::atoi(next()));
+            int width = 0;
+            support::parseFlagNumber(arg, next(), width);
+            cli.pipeline.model = sched::MachineModel::custom(width);
         } else if (arg == "--expansion") {
-            cli.pipeline.tail_dup.expansion_limit = std::atof(next());
+            support::parseFlagNumber(
+                arg, next(), cli.pipeline.tail_dup.expansion_limit);
         } else if (arg == "--paths") {
-            cli.pipeline.tail_dup.path_limit =
-                static_cast<size_t>(std::atoll(next()));
+            support::parseFlagNumber(arg, next(),
+                                     cli.pipeline.tail_dup.path_limit);
         } else if (arg == "--merge") {
-            cli.pipeline.tail_dup.merge_limit =
-                static_cast<size_t>(std::atoll(next()));
+            support::parseFlagNumber(arg, next(),
+                                     cli.pipeline.tail_dup.merge_limit);
         } else if (arg == "--profile-seed") {
-            cli.profile_seed = std::strtoull(next(), nullptr, 10);
+            support::parseFlagNumber(arg, next(), cli.profile_seed);
         } else if (arg == "--profile-runs") {
-            cli.profile_runs = std::atoi(next());
+            support::parseFlagNumber(arg, next(), cli.profile_runs);
         } else if (arg == "--no-profile") {
             cli.do_profile = false;
         } else if (arg == "--print-ir") {
@@ -420,7 +426,7 @@ main(int argc, char **argv)
             cli.stats = true;
         } else if (arg == "--run") {
             cli.run = true;
-            cli.run_seed = std::strtoull(next(), nullptr, 10);
+            support::parseFlagNumber(arg, next(), cli.run_seed);
         } else if (arg == "--sim-backend") {
             const std::string backend = next();
             if (backend == "ooo") {
@@ -440,7 +446,8 @@ main(int argc, char **argv)
                 return 2;
             }
         } else if (arg == "-j" || arg == "--jobs") {
-            const long long jobs = std::atoll(next());
+            long long jobs = 0;
+            support::parseFlagNumber(arg, next(), jobs);
             if (jobs < 0 || jobs > 1024) {
                 std::fprintf(stderr,
                              "-j expects 0..1024 (0 = all cores), "
@@ -449,8 +456,8 @@ main(int argc, char **argv)
             }
             cli.jobs = static_cast<size_t>(jobs);
         } else if (arg == "--mem-budget-mb") {
-            cli.mem_budget_bytes =
-                static_cast<uint64_t>(std::atoll(next())) << 20;
+            support::parseFlagNumber(arg, next(), cli.mem_budget_bytes);
+            cli.mem_budget_bytes <<= 20;
         } else if (arg == "--all-functions") {
             cli.all_functions = true;
         } else if (arg == "--sweep") {
@@ -466,7 +473,7 @@ main(int argc, char **argv)
         } else if (arg == "--trace-spans") {
             cli.span_path = next();
         } else if (arg == "--trace-sample") {
-            cli.span_sample = std::atof(next());
+            support::parseFlagNumber(arg, next(), cli.span_sample);
         } else if (arg == "--flight-rec") {
             cli.flightrec_path = next();
         } else if (arg == "--help" || arg == "-h") {
@@ -483,8 +490,38 @@ main(int argc, char **argv)
     if (cli.input.empty())
         return usage(argv[0]);
 
-    if (!cli.trace_json.empty())
-        support::TraceCollector::instance().setEnabled(true);
+    if (!cli.trace_json.empty() || !cli.span_path.empty()) {
+        auto &spans = support::SpanCollector::instance();
+        spans.setService("treegionc");
+        spans.configure(cli.span_sample);
+    }
+    // Export the recorded spans: the Chrome trace first, because the
+    // JSONL write drains the collector.
+    auto finish = [&](int code) {
+        auto &spans = support::SpanCollector::instance();
+        if (spans.dropped() > 0)
+            std::fprintf(
+                stderr, "span buffer full: %llu spans dropped\n",
+                static_cast<unsigned long long>(spans.dropped()));
+        if (!cli.trace_json.empty()) {
+            if (support::writeChromeTraceFile(cli.trace_json,
+                                              spans.snapshot())) {
+                std::fprintf(stderr, "trace written to %s\n",
+                             cli.trace_json.c_str());
+            } else {
+                std::fprintf(stderr, "cannot write trace to %s\n",
+                             cli.trace_json.c_str());
+                code = code ? code : 1;
+            }
+        }
+        if (!cli.span_path.empty() &&
+            !spans.writeJsonl(cli.span_path, /*append=*/true)) {
+            std::fprintf(stderr, "cannot write spans to %s\n",
+                         cli.span_path.c_str());
+            code = code ? code : 1;
+        }
+        return code;
+    };
     if (!cli.flightrec_path.empty()) {
         support::flightrec::setDumpPath(cli.flightrec_path.c_str());
         support::flightrec::installCrashHandlers();
@@ -509,25 +546,14 @@ main(int argc, char **argv)
         source = buffer.str();
     }
     // ---- Remote mode: the server does the rest.
-    if (!cli.server.empty()) {
-        if (!cli.span_path.empty()) {
-            auto &spans = support::SpanCollector::instance();
-            spans.setService("treegionc");
-            spans.configure(cli.span_sample);
-        }
-        const int rc = runOnServer(cli, source);
-        if (!cli.span_path.empty() &&
-            !support::SpanCollector::instance().writeJsonl(
-                cli.span_path, /*append=*/true))
-            std::fprintf(stderr, "cannot write spans to %s\n",
-                         cli.span_path.c_str());
-        return rc;
-    }
+    if (!cli.server.empty())
+        return finish(runOnServer(cli, source));
 
     std::string error;
     std::unique_ptr<ir::Module> mod;
     {
-        support::TraceScope span("parse", "driver");
+        support::SpanScope span("parse",
+                                support::SpanScope::Root::IfEnabled);
         mod = ir::parseModule(source, &error);
     }
     if (!mod) {
@@ -563,7 +589,8 @@ main(int argc, char **argv)
             return 1;
         }
         if (cli.do_profile) {
-            support::TraceScope span("profile", "driver");
+            support::SpanScope span("profile",
+                                    support::SpanScope::Root::IfEnabled);
             span.arg("fn", fn->name());
             workloads::ProfileOptions profile;
             profile.input_seed = cli.profile_seed;
@@ -577,21 +604,6 @@ main(int argc, char **argv)
                              summary.total_ops));
         }
     }
-
-    auto finish = [&](int code) {
-        if (!cli.trace_json.empty()) {
-            if (support::TraceCollector::instance()
-                    .writeChromeTraceFile(cli.trace_json)) {
-                std::fprintf(stderr, "trace written to %s\n",
-                             cli.trace_json.c_str());
-            } else {
-                std::fprintf(stderr, "cannot write trace to %s\n",
-                             cli.trace_json.c_str());
-                code = code ? code : 1;
-            }
-        }
-        return code;
-    };
 
     // ---- Batch mode: functions x configurations over the pool.
     if (cli.all_functions || cli.sweep)

@@ -30,8 +30,9 @@
  *   --verify-hits 0|1      recompile every cache hit and assert
  *                          bit-identity (default: 1 in debug builds)
  *   --metrics-json FILE    write the /stats JSON here on drain
- *   --trace-json FILE      enable tracing; write one Chrome trace
- *                          per drain here
+ *   --trace-json FILE      record spans; write them here as one
+ *                          Chrome trace per drain (sampled at
+ *                          --trace-sample, shared with --trace-spans)
  *   --trace-spans FILE     enable distributed tracing; write the
  *                          span JSONL (treegion-span/v1) here on
  *                          drain — merge files from every replica
@@ -131,29 +132,31 @@ main(int argc, char **argv)
         if (arg == "--unix") {
             options.unix_path = next();
         } else if (arg == "--tcp") {
-            options.tcp_port = std::atoi(next());
+            support::parseFlagNumber(arg, next(), options.tcp_port);
         } else if (arg == "--host") {
             options.tcp_host = next();
         } else if (arg == "--threads") {
-            options.threads =
-                static_cast<size_t>(std::atoll(next()));
+            support::parseFlagNumber(arg, next(), options.threads);
         } else if (arg == "--queue-limit") {
-            options.queue_limit =
-                static_cast<size_t>(std::atoll(next()));
+            support::parseFlagNumber(arg, next(), options.queue_limit);
         } else if (arg == "--mem-budget-mb") {
-            options.mem_budget_bytes =
-                static_cast<uint64_t>(std::atoll(next())) << 20;
+            support::parseFlagNumber(arg, next(),
+                                     options.mem_budget_bytes);
+            options.mem_budget_bytes <<= 20;
         } else if (arg == "--max-connections") {
-            options.max_connections =
-                static_cast<size_t>(std::atoll(next()));
+            support::parseFlagNumber(arg, next(),
+                                     options.max_connections);
         } else if (arg == "--cache-mb") {
-            options.cache_bytes =
-                static_cast<size_t>(std::atoll(next())) << 20;
+            support::parseFlagNumber(arg, next(), options.cache_bytes);
+            options.cache_bytes <<= 20;
         } else if (arg == "--max-request-kb") {
-            options.max_frame_bytes =
-                static_cast<size_t>(std::atoll(next())) << 10;
+            support::parseFlagNumber(arg, next(),
+                                     options.max_frame_bytes);
+            options.max_frame_bytes <<= 10;
         } else if (arg == "--verify-hits") {
-            options.verify_hits = std::atoi(next()) != 0;
+            int verify_hits = 0;
+            support::parseFlagNumber(arg, next(), verify_hits);
+            options.verify_hits = verify_hits != 0;
         } else if (arg == "--metrics-json") {
             options.metrics_path = next();
         } else if (arg == "--trace-json") {
@@ -161,7 +164,7 @@ main(int argc, char **argv)
         } else if (arg == "--trace-spans") {
             options.span_path = next();
         } else if (arg == "--trace-sample") {
-            options.span_sample = std::atof(next());
+            support::parseFlagNumber(arg, next(), options.span_sample);
         } else if (arg == "--flight-rec") {
             options.flightrec_path = next();
         } else if (arg == "--peers") {
@@ -169,7 +172,8 @@ main(int argc, char **argv)
         } else if (arg == "--self") {
             options.self_address = next();
         } else if (arg == "--debug-queue-delay-ms") {
-            options.debug_queue_delay_ms = std::atoll(next());
+            support::parseFlagNumber(arg, next(),
+                                     options.debug_queue_delay_ms);
         } else if (arg == "--help" || arg == "-h") {
             return usage(argv[0]);
         } else {
