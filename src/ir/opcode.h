@@ -19,7 +19,10 @@
 #define TREEGION_IR_OPCODE_H
 
 #include <cstdint>
+#include <string>
 #include <string_view>
+
+#include "support/logging.h"
 
 namespace treegion::ir {
 
@@ -117,19 +120,74 @@ bool parseCmpKind(std::string_view name, CmpKind &out);
 CmpKind negateCmpKind(CmpKind kind);
 
 /** Evaluate a comparison. */
-bool evalCmp(CmpKind kind, int64_t a, int64_t b);
+inline bool
+evalCmp(CmpKind kind, int64_t a, int64_t b)
+{
+    switch (kind) {
+      case CmpKind::EQ: return a == b;
+      case CmpKind::NE: return a != b;
+      case CmpKind::LT: return a < b;
+      case CmpKind::LE: return a <= b;
+      case CmpKind::GT: return a > b;
+      case CmpKind::GE: return a >= b;
+    }
+    TG_PANIC("bad CmpKind");
+}
 
 /**
  * Evaluate a non-memory, non-branch computation.
  *
  * FDIV by zero yields zero (dismissible semantics, so speculated
  * divides are always safe). Shift amounts are masked to 6 bits.
+ * Inline, like evalCmp, because every execution engine calls it once
+ * per executed op.
  *
  * @param opcode one of the ALU / FP opcodes
  * @param a first source value
  * @param b second source value (ignored by single-source ops)
  */
-int64_t evalAlu(Opcode opcode, int64_t a, int64_t b);
+inline int64_t
+evalAlu(Opcode opcode, int64_t a, int64_t b)
+{
+    using U = uint64_t;
+    switch (opcode) {
+      case Opcode::MOVI:
+      case Opcode::MOV:
+      case Opcode::COPY:
+        return a;
+      case Opcode::ADD:
+      case Opcode::FADD:
+        return static_cast<int64_t>(static_cast<U>(a) + static_cast<U>(b));
+      case Opcode::SUB:
+        return static_cast<int64_t>(static_cast<U>(a) - static_cast<U>(b));
+      case Opcode::MUL:
+      case Opcode::FMUL:
+        return static_cast<int64_t>(static_cast<U>(a) * static_cast<U>(b));
+      case Opcode::AND:
+        return a & b;
+      case Opcode::OR:
+        return a | b;
+      case Opcode::XOR:
+        return a ^ b;
+      case Opcode::SHL:
+        return static_cast<int64_t>(static_cast<U>(a) << (b & 63));
+      case Opcode::SHR:
+        return static_cast<int64_t>(static_cast<U>(a) >> (b & 63));
+      case Opcode::FDIV:
+        // Dismissible semantics: divide-by-zero (and the INT_MIN / -1
+        // overflow case) yield zero so speculated divides never trap.
+        if (b == 0 || (a == INT64_MIN && b == -1))
+            return 0;
+        return a / b;
+      case Opcode::REM:
+        if (b == 0 || (a == INT64_MIN && b == -1))
+            return 0;
+        return a % b;
+      default:
+        TG_PANIC("evalAlu: not a computation opcode: %s",
+                 std::string(opcodeName(opcode)).c_str());
+    }
+}
 
 } // namespace treegion::ir
 

@@ -451,7 +451,8 @@ runOutOfOrder(ir::Function &fn, const sched::FunctionSchedule &sched,
             };
             int max_delay = 1;
             if (op.isBranch()) {
-                e.outcome = vliw::sem::evalBranch(op, read);
+                e.outcome =
+                    vliw::sem::evalBranch(vliw::sem::IrOp(op), read);
                 if (e.outcome.kind ==
                     BranchOutcome::Kind::kMalformedMwbr)
                     TG_PANIC("MWBR selector matches no case");
@@ -463,7 +464,7 @@ runOutOfOrder(ir::Function &fn, const sched::FunctionSchedule &sched,
             } else {
                 std::vector<bool> wrote(e.renames.size(), false);
                 vliw::sem::execDataOp(
-                    op, read, mem_state,
+                    vliw::sem::IrOp(op), read, mem_state,
                     [&](ir::Reg dst, int64_t value, int delay) {
                         for (size_t k = 0; k < e.renames.size(); ++k) {
                             if (e.renames[k].arch == dst) {

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 #include "support/string_utils.h"
@@ -50,6 +51,10 @@ appendJsonEscaped(std::string &out, std::string_view s)
 std::string
 jsonFloatText(double value)
 {
+    if (std::isnan(value))
+        return "\"NaN\"";
+    if (std::isinf(value))
+        return value > 0 ? "\"Infinity\"" : "\"-Infinity\"";
     std::string text = strprintf("%.17g", value);
     if (text.find_first_of(".eE") == std::string::npos &&
         text.find_first_not_of("-0123456789") == std::string::npos)
@@ -222,7 +227,12 @@ FlatJsonReader::number(JsonArg &out)
         out.type = JsonArg::Type::Int;
         out.i = std::strtoll(token.c_str(), &end, 10);
     }
-    if (errno == ERANGE || end == nullptr || *end != '\0')
+    // strtod also reports ERANGE on underflow, where it still returns
+    // the nearest double (subnormal or zero); only an overflow to
+    // +-HUGE_VAL is out of range.
+    const bool out_of_range =
+        errno == ERANGE && (!is_float || std::isinf(out.f));
+    if (out_of_range || end == nullptr || *end != '\0')
         return fail("bad number '" + token + "'");
     return true;
 }

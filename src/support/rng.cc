@@ -22,6 +22,21 @@ rotl(uint64_t x, int k)
     return (x << k) | (x >> (64 - k));
 }
 
+/** hi - lo + 1 as an unsigned span; 0 means the full 64-bit range. */
+uint64_t
+rangeSpan(int64_t lo, int64_t hi)
+{
+    TG_ASSERT(lo <= hi);
+    return static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo) + 1;
+}
+
+/** lo + offset in two's complement (offset < the range's span). */
+int64_t
+rangeValue(int64_t lo, uint64_t offset)
+{
+    return static_cast<int64_t>(static_cast<uint64_t>(lo) + offset);
+}
+
 } // namespace
 
 Rng::Rng(uint64_t seed)
@@ -61,9 +76,41 @@ Rng::nextBelow(uint64_t bound)
 int64_t
 Rng::nextRange(int64_t lo, int64_t hi)
 {
-    TG_ASSERT(lo <= hi);
-    const uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
-    return lo + static_cast<int64_t>(span == 0 ? next() : nextBelow(span));
+    const uint64_t span = rangeSpan(lo, hi);
+    return rangeValue(lo, span == 0 ? next() : nextBelow(span));
+}
+
+void
+Rng::fillRange(std::span<int64_t> out, int64_t lo, int64_t hi)
+{
+    // Draw from a local copy: stores through @p out may alias s_
+    // (int64_t and uint64_t), which would keep the state in memory.
+    Rng rng = *this;
+    const uint64_t span = rangeSpan(lo, hi);
+    if (span == 0) {
+        for (int64_t &v : out)
+            v = rangeValue(lo, rng.next());
+        *this = rng;
+        return;
+    }
+    // nextBelow(span) per value. r % span is computed by direct
+    // remainder (Lemire, Kaser and Kurz, "Faster Remainder by Direct
+    // Computation"): with m = ceil(2^128 / span), r % span is the high
+    // 64 bits of ((m * r) mod 2^128) * span, exact for every 64-bit r.
+    // span == 1 wraps m to 0, which yields the right remainder, 0.
+    using U128 = unsigned __int128;
+    const uint64_t threshold = -span % span;
+    const U128 m = ~U128{0} / span + 1;
+    for (int64_t &v : out) {
+        uint64_t r = rng.next();
+        while (r < threshold)
+            r = rng.next();
+        const U128 frac = m * r;
+        const U128 low = (frac & UINT64_MAX) * span >> 64;
+        const U128 high = (frac >> 64) * span;
+        v = rangeValue(lo, static_cast<uint64_t>((low + high) >> 64));
+    }
+    *this = rng;
 }
 
 double

@@ -14,6 +14,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace treegion::support {
@@ -33,6 +34,13 @@ class Rng
 
     /** @return a uniform value in [lo, hi] inclusive. */
     int64_t nextRange(int64_t lo, int64_t hi);
+
+    /**
+     * Fill @p out with successive nextRange(lo, hi) values - the same
+     * stream, but with the rejection threshold computed once and the
+     * per-value modulo done by a precomputed reciprocal.
+     */
+    void fillRange(std::span<int64_t> out, int64_t lo, int64_t hi);
 
     /** @return a uniform double in [0, 1). */
     double nextDouble();

@@ -220,6 +220,8 @@ parseSpanJson(const std::string &line, TraceSpan &out, std::string *error)
             if (key == "tid") {
                 if (num.i < 0)
                     return in.fail("'tid' must be non-negative");
+                if (num.i > UINT32_MAX)
+                    return in.fail("'tid' must fit in 32 bits");
                 out.tid = static_cast<uint32_t>(num.i);
             } else {
                 (key == "start_us" ? out.start_us : out.dur_us) = num.i;

@@ -47,31 +47,4 @@ MachineState::writeReg(ir::Reg r, int64_t value)
     TG_PANIC("bad RegClass");
 }
 
-size_t
-MachineState::wrap(int64_t addr, bool is_store)
-{
-    const auto size = static_cast<int64_t>(memory_.size());
-    int64_t wrapped = addr % size;
-    if (wrapped < 0)
-        wrapped += size;
-    if (wrapped != addr) {
-        ++wrapped_;
-        if (is_store)
-            ++wrapped_stores_;
-    }
-    return static_cast<size_t>(wrapped);
-}
-
-int64_t
-MachineState::readMem(int64_t addr)
-{
-    return memory_[wrap(addr, false)];
-}
-
-void
-MachineState::writeMem(int64_t addr, int64_t value)
-{
-    memory_[wrap(addr, true)] = value;
-}
-
 } // namespace treegion::vliw

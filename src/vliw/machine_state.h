@@ -40,13 +40,20 @@ class MachineState
     void writeReg(ir::Reg r, int64_t value);
 
     /** Read memory, wrapping the address (dismissible load). */
-    int64_t readMem(int64_t addr);
+    int64_t readMem(int64_t addr) { return memory_[wrap(addr, false)]; }
 
     /** Write memory, wrapping the address (counted). */
-    void writeMem(int64_t addr, int64_t value);
+    void
+    writeMem(int64_t addr, int64_t value)
+    {
+        memory_[wrap(addr, true)] = value;
+    }
 
     /** @return the full memory image. */
     const std::vector<int64_t> &memory() const { return memory_; }
+
+    /** Move the memory image out (the state is spent). */
+    std::vector<int64_t> takeMemory() { return std::move(memory_); }
 
     /** @return loads+stores whose address wrapped. */
     uint64_t wrappedAccesses() const { return wrapped_; }
@@ -55,7 +62,20 @@ class MachineState
     uint64_t wrappedStores() const { return wrapped_stores_; }
 
   private:
-    size_t wrap(int64_t addr, bool is_store);
+    size_t
+    wrap(int64_t addr, bool is_store)
+    {
+        if (static_cast<uint64_t>(addr) < memory_.size())
+            return static_cast<size_t>(addr);
+        const auto size = static_cast<int64_t>(memory_.size());
+        int64_t wrapped = addr % size;
+        if (wrapped < 0)
+            wrapped += size;
+        ++wrapped_;
+        if (is_store)
+            ++wrapped_stores_;
+        return static_cast<size_t>(wrapped);
+    }
 
     std::vector<int64_t> gprs_;
     std::vector<int64_t> preds_;

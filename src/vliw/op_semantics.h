@@ -12,7 +12,9 @@
  *    register writes through a callback carrying the visibility delay
  *    (the MultiOp latency). The interpreter applies writes at once;
  *    the VLIW simulator defers them onto its pending list; the OoO
- *    backend writes renamed physical registers.
+ *    backend writes renamed physical registers. Like evalBranch() it
+ *    is a template over the op representation (see IrOp), so the
+ *    interpreter's decoded records share this definition.
  *  - evalBranch() decides whether a branch fires, which target slot
  *    it selects, and the RET value, without touching any schedule
  *    structures (exit lookup stays with each engine).
@@ -50,82 +52,111 @@ struct SimLimits
 
 namespace sem {
 
-/** Evaluate a source operand against a register-read functor. */
-template <typename ReadReg>
-inline int64_t
-operandValue(ReadReg &&read, const ir::Operand &operand)
+/**
+ * ir::Op as the semantics read it.
+ *
+ * execDataOp() and evalBranch() are templates over the op
+ * representation, so the schedule simulators (ir::Op through this
+ * view) and the sequential engine (its decoded records) run the one
+ * definition below. A representation provides:
+ *  - opcode(), cmp(), latency();
+ *  - src(i, read): the value of source operand i (an immediate, or a
+ *    register read through @p read), and imm(i): operand i's
+ *    immediate field (LD/ST offsets);
+ *  - numDsts() and dst(i), which is whatever the write sink takes;
+ *  - guardTrue(read): unguarded, or the guard predicate reads true;
+ *  - numSrcs(); numCases() and caseValue(i) for MWBR.
+ */
+class IrOp
 {
-    return operand.isImm() ? operand.imm : read(operand.reg);
-}
+  public:
+    explicit IrOp(const ir::Op &op) : op_(op) {}
 
-/** True when the op is unguarded or its guard predicate reads true. */
-template <typename ReadReg>
-inline bool
-guardTrue(ReadReg &&read, const ir::Op &op)
-{
-    return !op.guard || read(*op.guard) != 0;
-}
+    ir::Opcode opcode() const { return op_.opcode; }
+    ir::CmpKind cmp() const { return op_.cmp; }
+    int latency() const { return op_.latency(); }
+    size_t numSrcs() const { return op_.srcs.size(); }
+    int64_t imm(size_t i) const { return op_.srcs[i].imm; }
+    size_t numDsts() const { return op_.dsts.size(); }
+    ir::Reg dst(size_t i) const { return op_.dsts[i]; }
+    size_t numCases() const { return op_.caseValues.size(); }
+    int64_t caseValue(size_t i) const { return op_.caseValues[i]; }
+
+    template <typename ReadReg>
+    int64_t
+    src(size_t i, ReadReg &&read) const
+    {
+        const ir::Operand &operand = op_.srcs[i];
+        return operand.isImm() ? operand.imm : read(operand.reg);
+    }
+
+    template <typename ReadReg>
+    bool
+    guardTrue(ReadReg &&read) const
+    {
+        return !op_.guard || read(*op_.guard) != 0;
+    }
+
+  private:
+    const ir::Op &op_;
+};
 
 /**
  * Execute one non-branch op.
  *
- * @param op the op (any opcode except BRU/BRCT/BRCF/MWBR/RET)
- * @param read register-read functor: int64_t(ir::Reg)
+ * @param op the op (any opcode except BRU/BRCT/BRCF/MWBR/RET), in any
+ *        representation with IrOp's interface
+ * @param read register-read functor taking the representation's
+ *        register handle
  * @param mem memory interface with readMem(addr) / writeMem(addr, v)
  *        (dismissible wrap semantics live there)
- * @param write register-write sink: void(ir::Reg dst, int64_t value,
- *        int delay) where @p delay is the number of cycles after
- *        issue at which the write becomes architecturally visible.
- *        Predicate-file writers use delay 1; LD and ALU ops use the
- *        opcode latency. Conditional writers (guarded ops, CMPPA,
- *        CMPPO) simply do not call the sink when the write is
- *        suppressed.
+ * @param write register-write sink: void(dst, int64_t value, int
+ *        delay) where @p dst is op.dst(i) and @p delay is the number
+ *        of cycles after issue at which the write becomes
+ *        architecturally visible. Predicate-file writers use delay 1;
+ *        LD and ALU ops use the opcode latency. Conditional writers
+ *        (guarded ops, CMPPA, CMPPO) simply do not call the sink when
+ *        the write is suppressed.
  */
-template <typename ReadReg, typename MemIf, typename WriteFn>
+template <typename OpRep, typename ReadReg, typename MemIf,
+          typename WriteFn>
 inline void
-execDataOp(const ir::Op &op, ReadReg &&read, MemIf &mem, WriteFn &&write)
+execDataOp(const OpRep &op, ReadReg &&read, MemIf &mem, WriteFn &&write)
 {
-    auto val = [&](const ir::Operand &operand) {
-        return operandValue(read, operand);
-    };
-    switch (op.opcode) {
+    auto val = [&](size_t i) { return op.src(i, read); };
+    switch (op.opcode()) {
       case ir::Opcode::LD:
-        write(op.dsts[0],
-              mem.readMem(val(op.srcs[0]) + op.srcs[1].imm),
-              op.latency());
+        write(op.dst(0), mem.readMem(val(0) + op.imm(1)), op.latency());
         break;
       case ir::Opcode::ST:
-        if (guardTrue(read, op)) {
-            mem.writeMem(val(op.srcs[0]) + op.srcs[1].imm,
-                         val(op.srcs[2]));
-        }
+        if (op.guardTrue(read))
+            mem.writeMem(val(0) + op.imm(1), val(2));
         break;
       case ir::Opcode::CMPP: {
-        const bool guard = guardTrue(read, op);
-        const bool cmp =
-            ir::evalCmp(op.cmp, val(op.srcs[0]), val(op.srcs[1]));
-        write(op.dsts[0], guard && cmp, 1);
-        if (op.dsts.size() > 1)
-            write(op.dsts[1], guard && !cmp, 1);
+        const bool guard = op.guardTrue(read);
+        const bool cmp = ir::evalCmp(op.cmp(), val(0), val(1));
+        write(op.dst(0), guard && cmp, 1);
+        if (op.numDsts() > 1)
+            write(op.dst(1), guard && !cmp, 1);
         break;
       }
       case ir::Opcode::PSET:
-        write(op.dsts[0], 1, 1);
+        write(op.dst(0), 1, 1);
         break;
       case ir::Opcode::PCLR:
-        write(op.dsts[0], 0, 1);
+        write(op.dst(0), 0, 1);
         break;
       case ir::Opcode::CMPPA:
         // And-type compare: clears the predicate when the condition
         // fails, leaves it untouched otherwise, so several CMPPAs may
         // share a cycle (wired-AND).
-        if (!ir::evalCmp(op.cmp, val(op.srcs[0]), val(op.srcs[1])))
-            write(op.dsts[0], 0, 1);
+        if (!ir::evalCmp(op.cmp(), val(0), val(1)))
+            write(op.dst(0), 0, 1);
         break;
       case ir::Opcode::CMPPO:
         // Or-type compare: the dual of CMPPA (wired-OR).
-        if (ir::evalCmp(op.cmp, val(op.srcs[0]), val(op.srcs[1])))
-            write(op.dsts[0], 1, 1);
+        if (ir::evalCmp(op.cmp(), val(0), val(1)))
+            write(op.dst(0), 1, 1);
         break;
       case ir::Opcode::PBR:
         break;  // no simulated semantics
@@ -133,11 +164,11 @@ execDataOp(const ir::Op &op, ReadReg &&read, MemIf &mem, WriteFn &&write)
         // Plain computation. Usually unguarded (speculative);
         // hyperblock merge copies are guarded MOVs whose write is
         // conditional.
-        if (!guardTrue(read, op))
+        if (!op.guardTrue(read))
             break;
-        const int64_t a = val(op.srcs[0]);
-        const int64_t b = op.srcs.size() > 1 ? val(op.srcs[1]) : 0;
-        write(op.dsts[0], ir::evalAlu(op.opcode, a, b), op.latency());
+        const int64_t a = val(0);
+        const int64_t b = op.numSrcs() > 1 ? val(1) : 0;
+        write(op.dst(0), ir::evalAlu(op.opcode(), a, b), op.latency());
         break;
       }
     }
@@ -159,7 +190,8 @@ struct BranchOutcome
 };
 
 /**
- * Decide a branch op (BRU/BRCT/BRCF/MWBR/RET).
+ * Decide a branch op (BRU/BRCT/BRCF/MWBR/RET), in any representation
+ * with IrOp's interface.
  *
  * BRU always fires slot 0. BRCT/BRCF read their predicate source and
  * fire slot 0 when taken; not-taken is kNone (the sequential
@@ -169,33 +201,30 @@ struct BranchOutcome
  * engine can choose between halting (sequential fuzz reductions) and
  * panicking (verified schedules).
  */
-template <typename ReadReg>
+template <typename OpRep, typename ReadReg>
 inline BranchOutcome
-evalBranch(const ir::Op &op, ReadReg &&read)
+evalBranch(const OpRep &op, ReadReg &&read)
 {
     BranchOutcome out;
-    auto val = [&](const ir::Operand &operand) {
-        return operandValue(read, operand);
-    };
-    switch (op.opcode) {
+    switch (op.opcode()) {
       case ir::Opcode::BRU:
         out.kind = BranchOutcome::Kind::kFire;
         break;
       case ir::Opcode::BRCT:
       case ir::Opcode::BRCF: {
-        const bool p = read(op.srcs[0].reg) != 0;
-        const bool taken = op.opcode == ir::Opcode::BRCT ? p : !p;
+        const bool p = op.src(0, read) != 0;
+        const bool taken = op.opcode() == ir::Opcode::BRCT ? p : !p;
         if (taken)
             out.kind = BranchOutcome::Kind::kFire;
         break;
       }
       case ir::Opcode::MWBR: {
-        if (!guardTrue(read, op))
+        if (!op.guardTrue(read))
             break;
-        const int64_t sel = val(op.srcs[0]);
+        const int64_t sel = op.src(0, read);
         out.kind = BranchOutcome::Kind::kMalformedMwbr;
-        for (size_t i = 0; i < op.caseValues.size(); ++i) {
-            if (op.caseValues[i] == sel) {
+        for (size_t i = 0; i < op.numCases(); ++i) {
+            if (op.caseValue(i) == sel) {
                 out.kind = BranchOutcome::Kind::kFire;
                 out.slot = i;
                 break;
@@ -204,10 +233,10 @@ evalBranch(const ir::Op &op, ReadReg &&read)
         break;
       }
       case ir::Opcode::RET:
-        if (guardTrue(read, op)) {
+        if (op.guardTrue(read)) {
             out.kind = BranchOutcome::Kind::kFire;
             out.is_ret = true;
-            out.ret_value = val(op.srcs[0]);
+            out.ret_value = op.src(0, read);
         }
         break;
       default:

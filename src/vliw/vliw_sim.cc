@@ -4,6 +4,7 @@
 #include <unordered_map>
 
 #include "support/logging.h"
+#include "vliw/machine_state.h"
 #include "vliw/op_semantics.h"
 
 namespace treegion::vliw {
@@ -77,7 +78,7 @@ resolveExit(const RegionRows &rr, size_t op_index, const Op &op,
 } // namespace
 
 VliwResult
-runScheduled(ir::Function &fn, const sched::FunctionSchedule &sched,
+runScheduled(const ir::Function &fn, const sched::FunctionSchedule &sched,
              std::vector<int64_t> memory, const VliwOptions &options)
 {
     MachineState state(fn.numGprs(), fn.numPreds(), std::move(memory));
@@ -139,7 +140,7 @@ runScheduled(ir::Function &fn, const sched::FunctionSchedule &sched,
                 ++result.ops_executed;
                 if (!op.isBranch()) {
                     sem::execDataOp(
-                        op, readReg, state,
+                        sem::IrOp(op), readReg, state,
                         [&](ir::Reg dst, int64_t value, int delay) {
                             pending.push_back(
                                 {cyc + static_cast<uint64_t>(delay),
@@ -148,7 +149,7 @@ runScheduled(ir::Function &fn, const sched::FunctionSchedule &sched,
                     continue;
                 }
                 const sem::BranchOutcome out =
-                    sem::evalBranch(op, readReg);
+                    sem::evalBranch(sem::IrOp(op), readReg);
                 if (out.kind ==
                     sem::BranchOutcome::Kind::kMalformedMwbr) {
                     TG_PANIC("MWBR selector matches no case");

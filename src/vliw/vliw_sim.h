@@ -61,7 +61,7 @@ using VliwOptions = SimLimits;
  * @param memory initial data memory
  * @param options limits
  */
-VliwResult runScheduled(ir::Function &fn,
+VliwResult runScheduled(const ir::Function &fn,
                         const sched::FunctionSchedule &sched,
                         std::vector<int64_t> memory,
                         const VliwOptions &options = {});

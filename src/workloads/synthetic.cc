@@ -407,12 +407,18 @@ generateProgram(const std::string &name, const GenParams &params)
 std::vector<int64_t>
 makeInputMemory(size_t mem_words, uint64_t seed, int data_max)
 {
-    TG_ASSERT(mem_words > kReservedWords);
-    std::vector<int64_t> memory(mem_words, 0);
-    Rng rng(seed);
-    for (size_t i = 0; i < mem_words - kReservedWords; ++i)
-        memory[i] = rng.nextRange(0, data_max - 1);
+    std::vector<int64_t> memory(mem_words);
+    fillInputMemory(memory, seed, data_max);
     return memory;
+}
+
+void
+fillInputMemory(std::span<int64_t> memory, uint64_t seed, int data_max)
+{
+    TG_ASSERT(memory.size() > kReservedWords);
+    const size_t data = memory.size() - kReservedWords;
+    Rng(seed).fillRange(memory.first(data), 0, data_max - 1);
+    std::fill(memory.begin() + data, memory.end(), 0);
 }
 
 } // namespace treegion::workloads

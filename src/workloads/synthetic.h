@@ -23,6 +23,7 @@
 #define TREEGION_WORKLOADS_SYNTHETIC_H
 
 #include <memory>
+#include <span>
 #include <string>
 
 #include "ir/module.h"
@@ -124,6 +125,10 @@ std::unique_ptr<ir::Module> generateProgram(const std::string &name,
  */
 std::vector<int64_t> makeInputMemory(size_t mem_words, uint64_t seed,
                                      int data_max);
+
+/** Overwrite @p memory with makeInputMemory(memory.size(), ...). */
+void fillInputMemory(std::span<int64_t> memory, uint64_t seed,
+                     int data_max);
 
 } // namespace treegion::workloads
 

@@ -84,6 +84,16 @@ TEST(RemarkJson, RoundTripIsLossless)
     EXPECT_EQ(back.toJson(), line);
 }
 
+TEST(RemarkJson, SubnormalFloatArgRoundTrips)
+{
+    Remark r = sampleRemark();
+    r.args.push_back({"tiny", JsonArg::Type::Float, 0, 1e-310, ""});
+    Remark back;
+    std::string error;
+    ASSERT_TRUE(parseRemarkJson(r.toJson(), back, &error)) << error;
+    EXPECT_EQ(back, r);
+}
+
 TEST(RemarkJson, OptionalAnchorsStayAbsent)
 {
     Remark r;

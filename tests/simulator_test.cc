@@ -117,6 +117,103 @@ TEST(Interpreter, OpLimitAborts)
     EXPECT_FALSE(result.completed);
 }
 
+TEST(Interpreter, OpLimitCountsTheStoppingOp)
+{
+    // Two body ops per block; the limit stops the run at the first
+    // body op past max_ops and counts it, whatever the block layout.
+    Function fn("f");
+    Builder bu(fn);
+    const BlockId a = bu.newBlock();
+    fn.setEntry(a);
+    bu.setInsertPoint(a);
+    bu.movi(1);
+    bu.movi(2);
+    bu.bru(a);
+    // Body ops are op numbers 1, 2, 4, 5, 7, 8, ...; terminators 3,
+    // 6, 9. A terminator may carry the count to max_ops + 1 without a
+    // check, and the next body op then stops at max_ops + 2.
+    struct Case
+    {
+        uint64_t limit, ops, visits;
+    };
+    for (const Case c : {Case{0, 1, 1}, Case{1, 2, 1}, Case{2, 4, 2},
+                         Case{3, 4, 2}, Case{4, 5, 2}, Case{7, 8, 3}}) {
+        InterpOptions options;
+        options.max_ops = c.limit;
+        const auto result =
+            runSequential(fn, std::vector<int64_t>(8, 0), options);
+        EXPECT_FALSE(result.completed);
+        EXPECT_EQ(result.ops_executed, c.ops) << "max_ops " << c.limit;
+        EXPECT_EQ(result.trace.size(), c.visits) << "max_ops " << c.limit;
+    }
+}
+
+TEST(Interpreter, BodylessCycleHaltsInsteadOfSpinning)
+{
+    // bb0: r0 = MOVI 1; BRU bb1.  bb1: BRU bb2.  bb2: BRU bb1. No op
+    // of the bb1/bb2 cycle is ever limit-checked, so the run must be
+    // stopped as a provably endless cycle.
+    Function fn("f");
+    Builder bu(fn);
+    const BlockId a = bu.newBlock();
+    const BlockId b = bu.newBlock();
+    const BlockId c = bu.newBlock();
+    fn.setEntry(a);
+    bu.setInsertPoint(a);
+    bu.movi(1);
+    bu.bru(b);
+    bu.setInsertPoint(b);
+    bu.bru(c);
+    bu.setInsertPoint(c);
+    bu.bru(b);
+
+    InterpOptions options;
+    options.max_ops = 50;
+    const auto result =
+        runSequential(fn, std::vector<int64_t>(8, 0), options);
+    EXPECT_FALSE(result.completed);
+    // Stopped at the first terminator past max_ops + 3 blocks.
+    EXPECT_EQ(result.ops_executed, 54u);
+    EXPECT_EQ(result.trace.size(), 53u);
+
+    // The profiler finishes too, with no completed run.
+    Function pf = fn.clone();
+    const auto summary = workloads::profileFunction(pf, 512);
+    EXPECT_EQ(summary.completed_runs, 0);
+    EXPECT_EQ(pf.block(a).weight(), 20.0);
+}
+
+TEST(Interpreter, BodylessChainPastTheLimitStillReachesTheNextBody)
+{
+    // bb0's terminator carries the count past max_ops; the run then
+    // passes three body-less blocks and stops at bb4's first body op,
+    // exactly as a per-op limit check would.
+    Function fn("f");
+    Builder bu(fn);
+    std::vector<BlockId> ids;
+    for (int i = 0; i < 5; ++i)
+        ids.push_back(bu.newBlock());
+    fn.setEntry(ids[0]);
+    bu.setInsertPoint(ids[0]);
+    bu.movi(1);
+    bu.bru(ids[1]);
+    for (int i = 1; i < 4; ++i) {
+        bu.setInsertPoint(ids[i]);
+        bu.bru(ids[i + 1]);
+    }
+    bu.setInsertPoint(ids[4]);
+    bu.movi(2);
+    bu.ret(Builder::I(0));
+
+    InterpOptions options;
+    options.max_ops = 1;
+    const auto result =
+        runSequential(fn, std::vector<int64_t>(8, 0), options);
+    EXPECT_FALSE(result.completed);
+    EXPECT_EQ(result.trace, ids);
+    EXPECT_EQ(result.ops_executed, 6u);
+}
+
 /** Build, profile, schedule a program and return everything. */
 struct Pipeline
 {

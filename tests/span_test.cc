@@ -16,6 +16,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -167,6 +168,24 @@ TEST_F(SpanTest, RootParentSerializesAsEmpty)
     EXPECT_EQ(parsed.parent, 0u);
 }
 
+TEST_F(SpanTest, SubnormalAndNonFiniteArgsStayParseable)
+{
+    support::TraceSpan s = sampleSpan();
+    s.args.push_back(support::JsonArg::ofFloat("tiny", 1e-310));
+    support::TraceSpan parsed;
+    std::string error;
+    ASSERT_TRUE(support::parseSpanJson(s.toJson(), parsed, &error))
+        << error;
+    EXPECT_EQ(parsed, s);
+
+    // Non-finite floats travel as the strings "NaN"/"Infinity".
+    s.args.back() = support::JsonArg::ofFloat("ratio", NAN);
+    const std::string line = s.toJson();
+    EXPECT_NE(line.find("\"ratio\":\"NaN\""), std::string::npos) << line;
+    ASSERT_TRUE(support::parseSpanJson(line, parsed, &error)) << error;
+    EXPECT_EQ(parsed.args.back(), support::JsonArg::ofStr("ratio", "NaN"));
+}
+
 TEST_F(SpanTest, ParserRejectsMalformedLines)
 {
     const std::string good = sampleSpan().toJson();
@@ -204,6 +223,16 @@ TEST_F(SpanTest, ParserRejectsMalformedLines)
     bad.erase(trace + 9, 4);
     EXPECT_FALSE(support::parseSpanJson(bad, out, &error));
     EXPECT_EQ(error, "'trace' must be 32 hex digits");
+
+    // A tid past 32 bits is rejected, not truncated.
+    bad = good;
+    bad.replace(bad.find("\"tid\":7"), 7, "\"tid\":4294967296");
+    EXPECT_FALSE(support::parseSpanJson(bad, out, &error));
+    EXPECT_EQ(error, "'tid' must fit in 32 bits");
+    bad = good;
+    bad.replace(bad.find("\"tid\":7"), 7, "\"tid\":4294967295");
+    ASSERT_TRUE(support::parseSpanJson(bad, out, &error)) << error;
+    EXPECT_EQ(out.tid, UINT32_MAX);
 
     // Non-scalar arg value.
     bad = good;

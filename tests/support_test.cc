@@ -15,6 +15,7 @@
 
 #include "support/arena.h"
 #include "support/bitvector.h"
+#include "support/chrome_trace.h"
 #include "support/json.h"
 #include "support/metrics.h"
 #include "support/rng.h"
@@ -61,6 +62,41 @@ TEST(Rng, NextRangeInclusive)
     }
     EXPECT_TRUE(saw_lo);
     EXPECT_TRUE(saw_hi);
+}
+
+TEST(Rng, FillRangeIsTheNextRangeStream)
+{
+    const std::pair<int64_t, int64_t> ranges[] = {
+        {5, 5},                                  // span 1
+        {0, 1},                                  // span 2
+        {-1, 1},                                 // span 3
+        {0, 99},                                 // span 100
+        {0, int64_t{1} << 32},                   // span 2^32 + 1
+        {-(int64_t{1} << 62), int64_t{1} << 62}, // span 2^63 + 1
+        {INT64_MIN, INT64_MAX},                  // span 2^64 (span == 0)
+    };
+    std::vector<std::pair<int64_t, int64_t>> cases(std::begin(ranges),
+                                                   std::end(ranges));
+    // Plus 2^k - 1, 2^k and 2^k + 1 for every width, to cover the
+    // reciprocal remainder.
+    for (int bits = 1; bits < 63; ++bits) {
+        const int64_t pow = int64_t{1} << bits;
+        for (const int64_t span : {pow - 1, pow, pow + 1})
+            cases.push_back({-7, -7 + span - 1});
+    }
+    for (const auto &[lo, hi] : cases) {
+        for (const uint64_t seed : {1ULL, 42ULL, 0xfeedULL}) {
+            Rng bulk(seed), one(seed);
+            std::vector<int64_t> got(257);
+            bulk.fillRange(got, lo, hi);
+            for (size_t i = 0; i < got.size(); ++i) {
+                ASSERT_EQ(got[i], one.nextRange(lo, hi))
+                    << "[" << lo << ", " << hi << "] seed " << seed
+                    << " value " << i;
+            }
+            EXPECT_EQ(bulk.next(), one.next());  // same stream position
+        }
+    }
 }
 
 TEST(Rng, NextDoubleUnit)
@@ -374,6 +410,48 @@ TEST(FlatJson, FloatTextRoundTripsAndStaysFloat)
         EXPECT_EQ(std::signbit(back.f), std::signbit(v));
         EXPECT_EQ(back.f, v);
     }
+}
+
+TEST(FlatJson, SubnormalFloatsRoundTripAndOverflowIsRejected)
+{
+    // strtod flags underflow with ERANGE too; the value is still the
+    // nearest double and must read back.
+    for (const double v : {1e-310, -4.9406564584124654e-324}) {
+        const std::string text = jsonFloatText(v);
+        FlatJsonReader in(text, "value", nullptr);
+        JsonArg back;
+        ASSERT_TRUE(in.number(back)) << text;
+        EXPECT_EQ(back.type, JsonArg::Type::Float);
+        EXPECT_EQ(back.f, v);
+    }
+    for (const char *text : {"1e999", "-1e999"}) {
+        std::string error;
+        FlatJsonReader in(text, "value", &error);
+        JsonArg back;
+        EXPECT_FALSE(in.number(back));
+        EXPECT_EQ(error, std::string("bad number '") + text + "'");
+    }
+}
+
+TEST(FlatJson, NonFiniteFloatsAreWrittenAsJsonStrings)
+{
+    EXPECT_EQ(jsonFloatText(NAN), "\"NaN\"");
+    EXPECT_EQ(jsonFloatText(-NAN), "\"NaN\"");
+    EXPECT_EQ(jsonFloatText(INFINITY), "\"Infinity\"");
+    EXPECT_EQ(jsonFloatText(-INFINITY), "\"-Infinity\"");
+    std::string text = "{\"args\":{";
+    appendJsonArgs(text, {JsonArg::ofFloat("nan", NAN),
+                          JsonArg::ofFloat("inf", -INFINITY)});
+    text += "}}";
+    std::string error;
+    std::vector<JsonArg> back;
+    FlatJsonReader in(text, "value", &error);
+    ASSERT_TRUE(in.readObject([&](const std::string &) {
+        return in.args(back);
+    })) << error;
+    EXPECT_EQ(back, (std::vector<JsonArg>{JsonArg::ofStr("nan", "NaN"),
+                                          JsonArg::ofStr("inf",
+                                                         "-Infinity")}));
 }
 
 TEST(FlatJson, ArgsRoundTripThroughTheReader)
@@ -724,6 +802,27 @@ loadBenchHistory()
     std::stringstream ss;
     ss << in.rdbuf();
     return JsonParser(ss.str()).parse();
+}
+
+TEST(FlatJson, ChromeTraceWithNonFiniteArgsIsStrictJson)
+{
+    // The strict parser above rejects bare nan/inf tokens, as
+    // json.load and chrome://tracing do.
+    TraceSpan s;
+    s.trace_hi = 1;
+    s.span = 2;
+    s.name = "compile";
+    s.service = "treegionc";
+    s.args = {JsonArg::ofFloat("speedup", NAN),
+              JsonArg::ofFloat("gain", INFINITY),
+              JsonArg::ofFloat("tiny", 1e-310)};
+    const Json doc = JsonParser(chromeTraceJson({s})).parse();
+    const Json &events = doc["traceEvents"];
+    ASSERT_EQ(events.arr.size(), 2u);
+    const Json &args = events.arr[1]["args"];
+    EXPECT_EQ(args["speedup"].str, "NaN");
+    EXPECT_EQ(args["gain"].str, "Infinity");
+    EXPECT_EQ(args["tiny"].num, 1e-310);
 }
 
 /** The config names throughput_scheduler emits, in emission order. */
