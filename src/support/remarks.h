@@ -106,8 +106,10 @@ struct Remark
     /**
      * Serialize as one JSON object (no trailing newline), stable key
      * order: pass, kind, fn, then block/op when present, then args in
-     * emission order. Floats use jsonFloatText so the line
-     * round-trips bit-exactly through parseRemarkJson.
+     * emission order. Floats use jsonFloatText: finite ones
+     * round-trip bit-exactly through parseRemarkJson, and non-finite
+     * ones come back as the Str args "NaN", "Infinity" or
+     * "-Infinity".
      */
     std::string toJson() const;
 };

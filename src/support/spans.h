@@ -144,8 +144,10 @@ struct TraceSpan
     /**
      * Serialize as one JSON object (no trailing newline), stable key
      * order: trace, span, parent ("" for roots), name, svc, tid,
-     * start_us, dur_us, args. Floats use jsonFloatText so the line
-     * round-trips bit-exactly through parseSpanJson.
+     * start_us, dur_us, args. Floats use jsonFloatText: finite ones
+     * round-trip bit-exactly through parseSpanJson, and non-finite
+     * ones come back as the Str args "NaN", "Infinity" or
+     * "-Infinity".
      */
     std::string toJson() const;
 };
